@@ -6,12 +6,7 @@ benchmark harness that reports machine-independent sort-operation counts.
 """
 
 from .bench import (
-    BenchRecord,
-    GridCell,
-    StrataProfile,
     SuiteConfig,
-    SuiteSummary,
-    SweepPoint,
     derive_seed,
     run_suite,
     speedup_grid,
@@ -29,7 +24,6 @@ from .graph import (
     graph_from_edges,
 )
 from .mst import (
-    Metrics,
     MstResult,
     kruskal_eds,
     kruskal_heap,
@@ -40,34 +34,25 @@ from .oracle import exhaustive_mst, prim_dense
 from .strata import (
     Boundaries,
     StrataParams,
-    Stratification,
     estimate_boundaries,
     optimal_k,
     partition,
     sample_size,
     sample_weights,
 )
-from .validation import ValidationCase, make_cases, run_validation
+from .validation import run_validation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRecord",
     "Boundaries",
     "DisjointSetForest",
     "EdgeListError",
     "EdgeRecord",
     "GraphSpec",
-    "GridCell",
-    "Metrics",
     "MstResult",
     "StrataParams",
-    "StrataProfile",
-    "Stratification",
     "SuiteConfig",
-    "SuiteSummary",
-    "SweepPoint",
-    "ValidationCase",
     "WeightDist",
     "component_count",
     "derive_seed",
@@ -81,7 +66,6 @@ __all__ = [
     "kruskal_heap",
     "kruskal_std",
     "load_edge_list",
-    "make_cases",
     "mst_weight_equal",
     "optimal_k",
     "partition",

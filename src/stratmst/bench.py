@@ -17,7 +17,7 @@ from typing import IO, Sequence
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
-from .mst import MstResult, kruskal_eds, kruskal_heap, kruskal_std
+from .mst import SOLVERS, kruskal_eds
 from .strata import StrataParams
 
 DEFAULT_MASTER_SEED = 7
@@ -38,7 +38,7 @@ RECORD_FIELDS = (
     "mst_edges",
 )
 
-ALGOS = ("std", "eds", "heap")
+ALGOS = tuple(SOLVERS)
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -122,20 +122,6 @@ class BenchRecord:
         return [getattr(self, name) for name in RECORD_FIELDS]
 
 
-def run_algo(algo: str, g: GraphSpec, seed: int) -> tuple[MstResult, int]:
-    """Run one solver, returning its result and wall-clock nanoseconds."""
-    t0 = time.perf_counter_ns()
-    if algo == "std":
-        res = kruskal_std(g)
-    elif algo == "heap":
-        res = kruskal_heap(g)
-    elif algo == "eds":
-        res = kruskal_eds(g, StrataParams(seed=seed))
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return res, time.perf_counter_ns() - t0
-
-
 def run_suite(
     trials: int = 3,
     master_seed: int = DEFAULT_MASTER_SEED,
@@ -152,8 +138,11 @@ def run_suite(
                 g = cfg.build(seed)
             except ValueError as exc:
                 raise ValueError(f"generation failed for {cfg.label!r}: {exc}") from exc
-            for algo in ALGOS:
-                res, elapsed = run_algo(algo, g, seed)
+            params = StrataParams(seed=seed)
+            for algo, solve in SOLVERS.items():
+                t0 = time.perf_counter_ns()
+                res = solve(g, params)
+                elapsed = time.perf_counter_ns() - t0
                 records.append(
                     BenchRecord(
                         graph=cfg.label,

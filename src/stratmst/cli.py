@@ -12,7 +12,7 @@ from . import bench
 from .edgelist import EdgeListError, load_edge_list, write_edge_list
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
-from .mst import MstResult, kruskal_eds, kruskal_heap, kruskal_std
+from .mst import SOLVERS
 from .strata import StrataParams
 from .validation import run_validation
 
@@ -99,8 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             m = args.m if args.m is not None else _default_m(args.family, args.n)
             g = gen_random(args.n, m, RANDOM_FAMILIES[args.family], args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     if args.out is None:
         write_edge_list(g, sys.stdout)
     else:
@@ -110,17 +109,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_mst(g: GraphSpec, algo: str, k: int | None, seed: int) -> MstResult:
-    if algo == "std":
-        return kruskal_std(g)
-    if algo == "heap":
-        return kruskal_heap(g)
-    return kruskal_eds(g, StrataParams(k=k, seed=seed))
-
-
 def cmd_mst(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    res = _run_mst(g, args.algo, args.k, args.seed)
+    res = SOLVERS[args.algo](g, StrataParams(k=args.k, seed=args.seed))
     print(f"{res.total_weight:.4f} {res.accepted_count}")
     if args.metrics:
         metrics = res.metrics
@@ -138,7 +129,7 @@ def cmd_mst(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    results = run_validation(fault_offset=args.fault_offset)
+    results = run_validation()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.case} {r.algo} {r.weight:.4f}")
@@ -167,8 +158,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     try:
         points = bench.sweep_k(g, args.k_values, trials=args.trials, master_seed=args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
         bench.write_sweep_csv(points, stream)
     return 0
@@ -188,8 +178,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     try:
         profile = bench.strata_profile(g, args.k, args.seed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
         bench.write_profile_csv(profile, stream)
     _write_sidecar(
@@ -206,8 +195,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             args.density, args.skew, n=args.n, trials=args.trials, master_seed=args.seed
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
         bench.write_grid_csv(cells, stream)
     _write_sidecar(
@@ -234,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("mst", help="compute the minimum spanning tree/forest of an edge list")
-    p.add_argument("--algo", choices=("std", "eds", "heap"), default="eds")
+    p.add_argument("--algo", choices=tuple(SOLVERS), default="eds")
     p.add_argument("--k", type=_parse_k, default=None,
                    help="stratum count for eds: an integer or 'auto' (default)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed for eds")
@@ -244,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mst)
 
     p = sub.add_parser("validate", help="run the 12-case correctness suite")
-    p.add_argument("--fault-offset", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="run the benchmark suite and write a CSV")

@@ -1,15 +1,19 @@
 """Minimum spanning tree and forest solvers with uniform instrumentation.
 
-Three interchangeable solvers over the same union-find core:
+Three interchangeable solvers feed one greedy accept loop over one
+union-find:
 
-* ``kruskal_std``  - global sort, then greedy accept (the baseline).
-* ``kruskal_heap`` - O(m) heapify, then lazy pops in weight order.
 * ``kruskal_eds``  - sample, partition into weight strata, sort strata on
   demand, and stop the moment the spanning forest is complete.
+* ``kruskal_std``  - the baseline global sort: ``kruskal_eds`` with one
+  stratum.
+* ``kruskal_heap`` - O(m) heapify, then lazy pops in weight order.
 
 All three accept the same inputs (parallel edges, self-loops, negative
 weights, disconnected graphs) and produce identical accepted edge sets:
 ties always break by edge id, so every solver walks the same total order.
+``SOLVERS`` maps each solver's name to the solver and is the one registry
+the CLI, the benchmark harness and the validation suite dispatch through.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .graph import DisjointSetForest, EdgeRecord, GraphSpec
 from .strata import Boundaries, StrataParams, estimate_boundaries, partition
@@ -74,33 +79,34 @@ def _result(accepted: list[EdgeRecord], metrics: Metrics) -> MstResult:
     )
 
 
-def kruskal_std(g: GraphSpec) -> MstResult:
-    """Baseline Kruskal: sort all m edges by weight, then greedily accept."""
-    if g.n <= 1 or g.m == 0:
-        return _empty_result()
-    t0 = time.perf_counter_ns()
-    order = sorted(g.edges, key=_edge_key)
-    forest = DisjointSetForest(g.n)
-    accepted: list[EdgeRecord] = []
-    target = g.n - 1
+def _accept(
+    forest: DisjointSetForest,
+    ordered_edges: Iterable[EdgeRecord],
+    accepted: list[EdgeRecord],
+    target: int,
+) -> int:
+    """Greedy Kruskal scan shared by every solver.
+
+    Unions each edge in the given order, appends the ones that join two
+    components to ``accepted``, and stops as soon as ``accepted`` holds
+    ``target`` edges. Returns the number of union calls made.
+    """
     union_calls = 0
-    for e in order:
+    for e in ordered_edges:
         union_calls += 1
         if forest.union(e.u, e.v):
             accepted.append(e)
             if len(accepted) == target:
                 break
-    phase3 = time.perf_counter_ns() - t0
-    metrics = Metrics(
-        sort_ops=g.m,
-        strata_processed=1,
-        strata_total=1,
-        phase3_ns=phase3,
-        union_calls=union_calls,
-        strata_nonempty=1,
-        accepted_per_stratum=(len(accepted),),
-    )
-    return _result(accepted, metrics)
+    return union_calls
+
+
+def kruskal_std(g: GraphSpec) -> MstResult:
+    """Baseline Kruskal: sort all m edges by weight, then greedily accept.
+
+    This is the stratified solver with a single stratum.
+    """
+    return kruskal_eds(g, StrataParams(k=1))
 
 
 def kruskal_heap(g: GraphSpec) -> MstResult:
@@ -115,15 +121,13 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     heap = [(e.weight, e.id, e) for e in g.edges]
     heapq.heapify(heap)
     t1 = time.perf_counter_ns()
-    forest = DisjointSetForest(g.n)
     accepted: list[EdgeRecord] = []
-    target = g.n - 1
-    pops = 0
-    while heap and len(accepted) < target:
-        _, _, e = heapq.heappop(heap)
-        pops += 1
-        if forest.union(e.u, e.v):
-            accepted.append(e)
+    pops = _accept(
+        DisjointSetForest(g.n),
+        (heapq.heappop(heap)[2] for _ in range(g.m)),
+        accepted,
+        g.n - 1,
+    )
     t2 = time.perf_counter_ns()
     metrics = Metrics(
         sort_ops=pops,
@@ -165,15 +169,16 @@ def kruskal_eds(
     if g.n <= 1 or g.m == 0:
         return _empty_result()
     k = params.resolve_k(g.m)
-    if boundaries is None and k == 1:
-        return kruskal_std(g)
 
     t0 = time.perf_counter_ns()
-    if boundaries is None:
-        boundaries = estimate_boundaries(g.edges, k, params.seed)
-    t1 = time.perf_counter_ns()
-    strat = partition(g.edges, boundaries)
-    t2 = time.perf_counter_ns()
+    if boundaries is None and k == 1:
+        buckets, t1, t2 = [list(g.edges)], t0, t0
+    else:
+        if boundaries is None:
+            boundaries = estimate_boundaries(g.edges, k, params.seed)
+        t1 = time.perf_counter_ns()
+        buckets = partition(g.edges, boundaries)
+        t2 = time.perf_counter_ns()
 
     forest = DisjointSetForest(g.n)
     accepted: list[EdgeRecord] = []
@@ -181,35 +186,38 @@ def kruskal_eds(
     sort_ops = 0
     strata_processed = 0
     union_calls = 0
-    accepted_per = [0] * len(strat.buckets)
-    done = False
-    for i, bucket in enumerate(strat.buckets):
+    accepted_per = [0] * len(buckets)
+    for i, bucket in enumerate(buckets):
         strata_processed += 1
         bucket.sort(key=_edge_key)
         sort_ops += len(bucket)
-        for e in bucket:
-            union_calls += 1
-            if forest.union(e.u, e.v):
-                accepted.append(e)
-                accepted_per[i] += 1
-                if len(accepted) == target:
-                    done = True
-                    break
-        if done:
+        before = len(accepted)
+        union_calls += _accept(forest, bucket, accepted, target)
+        accepted_per[i] = len(accepted) - before
+        if len(accepted) == target:
             break
     t3 = time.perf_counter_ns()
     metrics = Metrics(
         sort_ops=sort_ops,
         strata_processed=strata_processed,
-        strata_total=len(strat.buckets),
+        strata_total=len(buckets),
         phase1_ns=t1 - t0,
         phase2_ns=t2 - t1,
         phase3_ns=t3 - t2,
         union_calls=union_calls,
-        strata_nonempty=sum(1 for b in strat.buckets if b),
+        strata_nonempty=sum(1 for b in buckets if b),
         accepted_per_stratum=tuple(accepted_per),
     )
     return _result(accepted, metrics)
+
+
+# Every solver by its CLI name, called as ``solve(g, params)``. ``params``
+# configures ``eds`` only; the baselines ignore it.
+SOLVERS: dict[str, Callable[[GraphSpec, StrataParams], MstResult]] = {
+    "std": lambda g, params: kruskal_std(g),
+    "eds": kruskal_eds,
+    "heap": lambda g, params: kruskal_heap(g),
+}
 
 
 def mst_weight_equal(a: MstResult, b: MstResult) -> bool:

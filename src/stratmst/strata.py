@@ -74,13 +74,6 @@ class Boundaries:
         return len(self.values)
 
 
-@dataclass
-class Stratification:
-    """Weight-ordered edge buckets: bucket i holds b[i-1] <= w < b[i] (half-open)."""
-
-    buckets: list[list[EdgeRecord]]
-
-
 def sample_weights(edges: Sequence[EdgeRecord], size: int, rng: random.Random) -> list[float]:
     """Weights of `size` edges drawn uniformly without replacement.
 
@@ -120,15 +113,16 @@ def estimate_boundaries(edges: Sequence[EdgeRecord], k: int, seed: int) -> Bound
     return Boundaries(tuple(cuts))
 
 
-def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> Stratification:
+def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> list[list[EdgeRecord]]:
     """Assign every edge to its stratum by binary search on the boundaries.
 
-    Half-open rule: a weight equal to a boundary lands in the bucket above
-    it. Input order is preserved inside each bucket, so downstream sorts
-    stay stable.
+    Returns weight-ordered buckets, one more than there are boundaries.
+    Half-open rule: bucket i holds b[i-1] <= w < b[i], so a weight equal to
+    a boundary lands in the bucket above it. Input order is preserved inside
+    each bucket, so downstream sorts stay stable.
     """
     cuts = boundaries.values
     buckets: list[list[EdgeRecord]] = [[] for _ in range(len(cuts) + 1)]
     for e in edges:
         buckets[bisect_right(cuts, e.weight)].append(e)
-    return Stratification(buckets)
+    return buckets

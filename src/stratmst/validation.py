@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec, graph_from_edges
-from .mst import kruskal_eds, kruskal_heap, kruskal_std
+from .mst import SOLVERS, WEIGHT_RTOL
 from .oracle import prim_dense
 from .strata import StrataParams
 
 VALIDATION_SEED = 424242
-
-REL_TOL = 1e-9
 
 # Classic 9-vertex textbook MST example (vertices a..i mapped to 0..8).
 CLRS_EDGES: tuple[tuple[int, int, float], ...] = (
@@ -93,25 +91,14 @@ class CaseResult:
 
 
 def _weights_match(got: float, want: float) -> bool:
-    return abs(got - want) <= REL_TOL * max(1.0, abs(want))
+    return abs(got - want) <= WEIGHT_RTOL * max(1.0, abs(want))
 
 
-def run_validation(
-    cases: list[ValidationCase] | None = None,
-    fault_offset: float = 0.0,
-) -> list[CaseResult]:
-    """Run every case under all three solvers.
-
-    ``fault_offset`` perturbs each reported weight before comparison; it
-    exists so tests can prove the comparator rejects wrong answers.
-    """
+def run_validation(cases: list[ValidationCase] | None = None) -> list[CaseResult]:
+    """Run every case under every solver in ``SOLVERS``."""
     if cases is None:
         cases = make_cases()
-    runners = (
-        ("std", kruskal_std),
-        ("eds", lambda g: kruskal_eds(g, StrataParams(seed=VALIDATION_SEED))),
-        ("heap", kruskal_heap),
-    )
+    params = StrataParams(seed=VALIDATION_SEED)
     results: list[CaseResult] = []
     for case in cases:
         expected = (
@@ -119,8 +106,8 @@ def run_validation(
             if case.expected is not None
             else prim_dense(case.graph).total_weight
         )
-        for algo, run in runners:
-            got = run(case.graph).total_weight + fault_offset
+        for algo, solve in SOLVERS.items():
+            got = solve(case.graph, params).total_weight
             results.append(
                 CaseResult(case.name, algo, got, expected, _weights_match(got, expected))
             )

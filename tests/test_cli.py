@@ -3,8 +3,10 @@ import json
 import pytest
 
 from stratmst import graph_from_edges, write_edge_list
-from stratmst.cli import main
-from stratmst.validation import CLRS_EDGES
+from stratmst import bench
+from stratmst.cli import build_parser, main
+from stratmst.mst import SOLVERS
+from stratmst.validation import CLRS_EDGES, ValidationCase, run_validation
 
 
 def write_graph(path, n, triples):
@@ -103,10 +105,28 @@ def test_validate_all_pass(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_validate_detects_injected_fault(capsys):
-    assert main(["validate", "--fault-offset", "0.5"]) == 1
+def _wrong_total_case():
+    triangle = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
+    return ValidationCase("triangle-wrong", triangle, 4.0)  # true total is 3.0
+
+
+def test_run_validation_rejects_wrong_expected_total():
+    results = run_validation([_wrong_total_case()])
+    assert [r.algo for r in results] == ["std", "eds", "heap"]
+    assert not any(r.passed for r in results)
+
+
+def test_validate_detects_injected_fault(monkeypatch, capsys):
+    monkeypatch.setattr("stratmst.validation.make_cases", lambda: [_wrong_total_case()])
+    assert main(["validate"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("FAIL") for line in lines)
+    assert lines == [f"FAIL triangle-wrong {algo} 3.0000" for algo in ("std", "eds", "heap")]
+
+
+def test_solver_registry_drives_cli_and_bench():
+    mst_parser = build_parser()._subparsers._group_actions[0].choices["mst"]
+    algo = next(a for a in mst_parser._actions if a.dest == "algo")
+    assert tuple(SOLVERS) == tuple(algo.choices) == bench.ALGOS == ("std", "eds", "heap")
 
 
 def test_gen_then_mst_round_trip_all_families(tmp_path, capsys):

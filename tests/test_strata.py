@@ -96,22 +96,22 @@ def test_sample_weights_is_without_replacement():
 def test_partition_example():
     edges = edges_with_weights([2.0, 3.0, 5.0, 7.0, 9.0])
     strat = partition(edges, Boundaries((3.0, 7.0)))
-    assert [len(b) for b in strat.buckets] == [1, 2, 2]
+    assert [len(b) for b in strat] == [1, 2, 2]
     # weights equal to a boundary land in the bucket above it
-    assert [e.weight for e in strat.buckets[1]] == [3.0, 5.0]
-    assert [e.weight for e in strat.buckets[2]] == [7.0, 9.0]
+    assert [e.weight for e in strat[1]] == [3.0, 5.0]
+    assert [e.weight for e in strat[2]] == [7.0, 9.0]
 
 
 def test_partition_no_boundaries_single_bucket():
     edges = edges_with_weights([9.0, 1.0, 5.0])
     strat = partition(edges, Boundaries())
-    assert len(strat.buckets) == 1
-    assert [e.id for e in strat.buckets[0]] == [0, 1, 2]
+    assert len(strat) == 1
+    assert [e.id for e in strat[0]] == [0, 1, 2]
 
 
 def test_partition_empty_edges():
     strat = partition([], Boundaries((1.0, 2.0)))
-    assert [len(b) for b in strat.buckets] == [0, 0, 0]
+    assert [len(b) for b in strat] == [0, 0, 0]
 
 
 finite = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
@@ -125,8 +125,8 @@ boundary_vectors = st.lists(finite, unique=True, max_size=8).map(
 @given(edges=edge_lists, b=boundary_vectors)
 def test_partition_is_a_partition(edges, b):
     strat = partition(edges, b)
-    assert len(strat.buckets) == len(b) + 1
-    got = Counter((e.weight, e.id) for bucket in strat.buckets for e in bucket)
+    assert len(strat) == len(b) + 1
+    got = Counter((e.weight, e.id) for bucket in strat for e in bucket)
     want = Counter((e.weight, e.id) for e in edges)
     assert got == want
 
@@ -134,7 +134,7 @@ def test_partition_is_a_partition(edges, b):
 @settings(max_examples=300, deadline=None)
 @given(edges=edge_lists, b=boundary_vectors)
 def test_partition_weight_consistency(edges, b):
-    buckets = partition(edges, b).buckets
+    buckets = partition(edges, b)
     tops = [(i, max(e.weight for e in bk)) for i, bk in enumerate(buckets) if bk]
     for (i, hi), (j, _) in zip(tops, tops[1:]):
         lo_j = min(e.weight for e in buckets[j])
@@ -144,6 +144,6 @@ def test_partition_weight_consistency(edges, b):
 @settings(max_examples=300, deadline=None)
 @given(edges=edge_lists, b=boundary_vectors)
 def test_partition_keeps_input_order(edges, b):
-    for bucket in partition(edges, b).buckets:
+    for bucket in partition(edges, b):
         ids = [e.id for e in bucket]
         assert ids == sorted(ids)
