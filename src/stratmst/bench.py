@@ -4,6 +4,11 @@ The primary signal everywhere is ``sort_ops`` (edges pushed through sorts),
 which is machine-independent; wall-clock columns are emitted for human
 inspection only. Seeds derive from a master seed by hashing labels, so runs
 are reproducible while trials stay decorrelated.
+
+Each report row is a frozen dataclass whose fields, in order, are its CSV
+columns; ``write_csv`` takes the header from the dataclass, so a column is
+declared once. Summaries iterate ``mst.SOLVERS``, with ``std`` as the
+speedup base, so a new solver needs no new report field.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ import csv
 import hashlib
 import statistics
 import time
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import IO, Iterable, Sequence
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
@@ -22,23 +27,12 @@ from .strata import StrataParams
 
 DEFAULT_MASTER_SEED = 7
 
-RECORD_FIELDS = (
-    "graph",
-    "family",
-    "n",
-    "m",
-    "algo",
-    "trial",
-    "seed",
-    "time_ns",
-    "sort_ops",
-    "strata_processed",
-    "strata_total",
-    "mst_weight",
-    "mst_edges",
-)
-
 ALGOS = tuple(SOLVERS)
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
 
 def derive_seed(master: int, *parts: object) -> int:
@@ -57,14 +51,13 @@ class SuiteConfig:
     n: int
     m: int
     dist: WeightDist
-    kind: str = "random"  # random | grid | path
-    rows: int = 0
+    rows: int = 0  # grid family only
     cols: int = 0
 
     def build(self, seed: int) -> GraphSpec:
-        if self.kind == "grid":
+        if self.family == "grid":
             return gen_grid(self.rows, self.cols, self.dist, seed)
-        if self.kind == "path":
+        if self.family == "path":
             return gen_path(self.n, self.dist, seed)
         return gen_random(self.n, self.m, self.dist, seed)
 
@@ -76,7 +69,6 @@ def _grid_config(label: str, rows: int, cols: int) -> SuiteConfig:
         rows * cols,
         2 * rows * cols - rows - cols,
         WeightDist.uniform(),
-        kind="grid",
         rows=rows,
         cols=cols,
     )
@@ -92,7 +84,7 @@ DEFAULT_SUITE: tuple[SuiteConfig, ...] = (
     SuiteConfig("dense", "dense", 300, 40000, WeightDist.uniform()),
     _grid_config("grid-20x20", 20, 20),
     _grid_config("grid-30x30", 30, 30),
-    SuiteConfig("path-2000", "path", 2000, 1999, WeightDist.uniform(), kind="path"),
+    SuiteConfig("path-2000", "path", 2000, 1999, WeightDist.uniform()),
     SuiteConfig("sparse-2000", "sparse", 2000, 2500, WeightDist.uniform()),
     SuiteConfig("sparse-5000", "sparse", 5000, 6000, WeightDist.uniform()),
     SuiteConfig("medium-1000", "medium", 1000, 10000, WeightDist.uniform()),
@@ -118,8 +110,8 @@ class BenchRecord:
     mst_weight: float
     mst_edges: int
 
-    def row(self) -> list[object]:
-        return [getattr(self, name) for name in RECORD_FIELDS]
+
+RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
 def run_suite(
@@ -128,8 +120,7 @@ def run_suite(
     configs: Sequence[SuiteConfig] = DEFAULT_SUITE,
 ) -> list[BenchRecord]:
     """Run every configuration under all three solvers for `trials` trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials(trials)
     records: list[BenchRecord] = []
     for cfg in configs:
         for trial in range(trials):
@@ -165,16 +156,16 @@ def run_suite(
 
 @dataclass(frozen=True)
 class SuiteSummary:
-    """Per-configuration medians over trials, with speedup and ops ratios."""
+    """Per-configuration medians over trials, with the eds ops ratio.
+
+    ``time_ns`` maps every solver, in ``SOLVERS`` order, to its median
+    wall time; the speedup of a solver is ``time_ns["std"]`` over its own.
+    """
 
     label: str
     n: int
     m: int
-    std_time_ns: float
-    eds_time_ns: float
-    heap_time_ns: float
-    eds_speedup: float
-    heap_speedup: float
+    time_ns: dict[str, float]
     eds_sort_ops: float
     ops_ratio: float
     eds_strata_processed: float
@@ -184,20 +175,13 @@ class SuiteSummary:
 def summarize(records: Sequence[BenchRecord]) -> list[SuiteSummary]:
     """Collapse suite records into one summary per graph label."""
     by_label: dict[str, dict[str, list[BenchRecord]]] = {}
-    order: list[str] = []
     for rec in records:
         if rec.graph not in by_label:
             by_label[rec.graph] = {algo: [] for algo in ALGOS}
-            order.append(rec.graph)
         by_label[rec.graph][rec.algo].append(rec)
 
     summaries = []
-    for label in order:
-        groups = by_label[label]
-        med_time = {
-            algo: statistics.median(r.time_ns for r in group)
-            for algo, group in groups.items()
-        }
+    for label, groups in by_label.items():
         eds = groups["eds"]
         med_ops = statistics.median(r.sort_ops for r in eds)
         any_rec = eds[0]
@@ -206,11 +190,10 @@ def summarize(records: Sequence[BenchRecord]) -> list[SuiteSummary]:
                 label=label,
                 n=any_rec.n,
                 m=any_rec.m,
-                std_time_ns=med_time["std"],
-                eds_time_ns=med_time["eds"],
-                heap_time_ns=med_time["heap"],
-                eds_speedup=med_time["std"] / med_time["eds"],
-                heap_speedup=med_time["std"] / med_time["heap"],
+                time_ns={
+                    algo: statistics.median(r.time_ns for r in group)
+                    for algo, group in groups.items()
+                },
                 eds_sort_ops=med_ops,
                 ops_ratio=any_rec.m / med_ops,
                 eds_strata_processed=statistics.median(
@@ -242,6 +225,7 @@ def sweep_k(
     """Run the stratified solver at each requested k; medians over trials."""
     if not k_values:
         raise ValueError("k_values must be non-empty")
+    _check_trials(trials)
     points = []
     for k in k_values:
         times, ops, procs, totals = [], [], [], []
@@ -265,22 +249,14 @@ def sweep_k(
     return points
 
 
-@dataclass(frozen=True)
-class StrataProfile:
-    """Fraction of accepted spanning-forest edges contributed by each stratum."""
-
-    stratum_fractions: tuple[float, ...]
-
-
-def strata_profile(g: GraphSpec, k: int, seed: int) -> StrataProfile:
-    """Profile which strata the accepted edges came from in one seeded run."""
+def strata_profile(g: GraphSpec, k: int, seed: int) -> tuple[float, ...]:
+    """Fraction of the accepted spanning-forest edges each stratum contributed
+    in one seeded run; empty when no edge was accepted."""
     res = kruskal_eds(g, StrataParams(k=k, seed=seed))
     if res.accepted_count == 0:
-        return StrataProfile(())
+        return ()
     total = res.accepted_count
-    return StrataProfile(
-        tuple(c / total for c in res.metrics.accepted_per_stratum)
-    )
+    return tuple(c / total for c in res.metrics.accepted_per_stratum)
 
 
 @dataclass(frozen=True)
@@ -316,6 +292,7 @@ def speedup_grid(
     Since ops(std) = m by definition, each cell is the median of
     m / sort_ops(eds) over the trials.
     """
+    _check_trials(trials)
     full = n * (n - 1) // 2
     cells: list[GridCell] = []
     for rho in density_points:
@@ -357,30 +334,14 @@ def grid_metadata(
     }
 
 
-def write_records_csv(records: Sequence[BenchRecord], stream: IO[str]) -> None:
+def write_csv(row_type: type, rows: Iterable[object], stream: IO[str]) -> None:
+    """Write dataclass rows as CSV; the header is ``row_type``'s field names."""
     writer = csv.writer(stream)
-    writer.writerow(RECORD_FIELDS)
-    for rec in records:
-        writer.writerow(rec.row())
+    writer.writerow(f.name for f in fields(row_type))
+    writer.writerows(astuple(row) for row in rows)
 
 
-def write_sweep_csv(points: Sequence[SweepPoint], stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["k", "time_ns", "sort_ops", "strata_processed", "strata_total"])
-    for p in points:
-        writer.writerow([p.k, p.time_ns, p.sort_ops, p.strata_processed, p.strata_total])
-
-
-def write_profile_csv(profile: StrataProfile, stream: IO[str]) -> None:
+def write_profile_csv(fractions: Sequence[float], stream: IO[str]) -> None:
     writer = csv.writer(stream)
     writer.writerow(["stratum", "fraction"])
-    for i, frac in enumerate(profile.stratum_fractions):
-        writer.writerow([i, frac])
-
-
-def write_grid_csv(cells: Sequence[GridCell], stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["density", "skew", "m", "ops_ratio"])
-    for cell in cells:
-        ratio = "" if cell.ops_ratio is None else cell.ops_ratio
-        writer.writerow([cell.density, cell.skew, cell.m, ratio])
+    writer.writerows(enumerate(fractions))

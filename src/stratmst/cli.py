@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from contextlib import contextmanager
@@ -114,17 +115,7 @@ def cmd_mst(args: argparse.Namespace) -> int:
     res = SOLVERS[args.algo](g, StrataParams(k=args.k, seed=args.seed))
     print(f"{res.total_weight:.4f} {res.accepted_count}")
     if args.metrics:
-        metrics = res.metrics
-        payload = {
-            "sort_ops": metrics.sort_ops,
-            "strata_processed": metrics.strata_processed,
-            "strata_total": metrics.strata_total,
-            "phase1_ns": metrics.phase1_ns,
-            "phase2_ns": metrics.phase2_ns,
-            "phase3_ns": metrics.phase3_ns,
-            "union_calls": metrics.union_calls,
-        }
-        print(json.dumps(payload), file=sys.stderr)
+        print(json.dumps(dataclasses.asdict(res.metrics)), file=sys.stderr)
     return 0
 
 
@@ -137,15 +128,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    records = bench.run_suite(trials=args.trials, master_seed=args.seed)
+    try:
+        records = bench.run_suite(trials=args.trials, master_seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
-        bench.write_records_csv(records, stream)
+        bench.write_csv(bench.BenchRecord, records, stream)
     for s in bench.summarize(records):
+        base = s.time_ns["std"]
+        times = " ".join(f"{algo}={t / 1e6:8.3f}ms" for algo, t in s.time_ns.items())
+        speedups = " ".join(
+            f"speedup-{algo}={base / t:5.2f}x"
+            for algo, t in s.time_ns.items()
+            if algo != "std"
+        )
         print(
-            f"{s.label:<17} n={s.n:<5} m={s.m:<6} "
-            f"std={s.std_time_ns / 1e6:8.3f}ms eds={s.eds_time_ns / 1e6:8.3f}ms "
-            f"heap={s.heap_time_ns / 1e6:8.3f}ms "
-            f"speedup-eds={s.eds_speedup:5.2f}x speedup-heap={s.heap_speedup:5.2f}x "
+            f"{s.label:<17} n={s.n:<5} m={s.m:<6} {times} {speedups} "
             f"ops-ratio={s.ops_ratio:5.2f}x "
             f"strata={s.eds_strata_processed:.0f}/{s.eds_strata_total:.0f}",
             file=sys.stderr,
@@ -160,7 +158,7 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
-        bench.write_sweep_csv(points, stream)
+        bench.write_csv(bench.SweepPoint, points, stream)
     return 0
 
 
@@ -197,7 +195,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     with _open_out(args.out) as stream:
-        bench.write_grid_csv(cells, stream)
+        bench.write_csv(bench.GridCell, cells, stream)
     _write_sidecar(
         args.out, bench.grid_metadata(args.density, args.skew, args.n, args.trials, args.seed)
     )

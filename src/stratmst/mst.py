@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .graph import DisjointSetForest, EdgeRecord, GraphSpec
@@ -37,8 +38,9 @@ class Metrics:
     sort the run performed (for the heap solver: the number of pops). It
     never exceeds m. Phase timings come from a monotonic clock in
     nanoseconds and are machine- and runtime-specific; nothing asserts on
-    them. ``accepted_per_stratum`` and ``strata_nonempty`` are extra
-    diagnostics used by the profile and summary reports.
+    them. ``accepted_per_stratum`` (read by the profile report) and
+    ``strata_nonempty`` are extra diagnostics; ``stratmst mst --metrics``
+    prints every field.
     """
 
     sort_ops: int = 0
@@ -60,10 +62,6 @@ class MstResult:
     total_weight: float
     accepted_count: int
     metrics: Metrics
-
-
-def _edge_key(e: EdgeRecord) -> tuple[float, int]:
-    return (e.weight, e.id)
 
 
 def _empty_result() -> MstResult:
@@ -189,7 +187,9 @@ def kruskal_eds(
     accepted_per = [0] * len(buckets)
     for i, bucket in enumerate(buckets):
         strata_processed += 1
-        bucket.sort(key=_edge_key)
+        # Weight alone gives the (weight, id) order: the sort is stable and
+        # buckets hold edges in id order (GraphSpec ids are positions).
+        bucket.sort(key=attrgetter("weight"))
         sort_ops += len(bucket)
         before = len(accepted)
         union_calls += _accept(forest, bucket, accepted, target)
@@ -220,14 +220,14 @@ SOLVERS: dict[str, Callable[[GraphSpec, StrataParams], MstResult]] = {
 }
 
 
-def mst_weight_equal(a: MstResult, b: MstResult) -> bool:
-    """True when two results agree on accepted count and total weight.
+def weight_close(got: float, want: float) -> bool:
+    """True when ``got`` is within ``WEIGHT_RTOL`` of ``want``, relative to
+    ``max(1, |want|)``; absorbs summation-order noise between solvers."""
+    return abs(got - want) <= WEIGHT_RTOL * max(1.0, abs(want))
 
-    Weights compare within 1e-9 relative tolerance (floored at 1 absolute),
-    absorbing summation-order noise between solvers.
-    """
-    tol = WEIGHT_RTOL * max(1.0, abs(a.total_weight))
-    return (
-        a.accepted_count == b.accepted_count
-        and abs(a.total_weight - b.total_weight) <= tol
+
+def mst_weight_equal(a: MstResult, b: MstResult) -> bool:
+    """True when two results agree on accepted count and total weight."""
+    return a.accepted_count == b.accepted_count and weight_close(
+        b.total_weight, a.total_weight
     )

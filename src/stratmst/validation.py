@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec, graph_from_edges
-from .mst import SOLVERS, WEIGHT_RTOL
+from .mst import SOLVERS, weight_close
 from .oracle import prim_dense
 from .strata import StrataParams
 
@@ -90,10 +90,6 @@ class CaseResult:
     passed: bool
 
 
-def _weights_match(got: float, want: float) -> bool:
-    return abs(got - want) <= WEIGHT_RTOL * max(1.0, abs(want))
-
-
 def run_validation(cases: list[ValidationCase] | None = None) -> list[CaseResult]:
     """Run every case under every solver in ``SOLVERS``."""
     if cases is None:
@@ -109,6 +105,6 @@ def run_validation(cases: list[ValidationCase] | None = None) -> list[CaseResult
         for algo, solve in SOLVERS.items():
             got = solve(case.graph, params).total_weight
             results.append(
-                CaseResult(case.name, algo, got, expected, _weights_match(got, expected))
+                CaseResult(case.name, algo, got, expected, weight_close(got, expected))
             )
     return results

@@ -30,7 +30,7 @@ from stratmst import (
     sample_size,
     sample_weights,
 )
-from stratmst.bench import RECORD_FIELDS, write_records_csv
+from stratmst.bench import RECORD_FIELDS, BenchRecord, write_csv
 from stratmst.cli import main
 
 REL = 1e-9
@@ -186,7 +186,7 @@ def test_c8_dkw_statistical_check():
 def test_c9_suite_metrics_invariants():
     records = run_suite(trials=3)
     buf = io.StringIO()
-    write_records_csv(records, buf)
+    write_csv(BenchRecord, records, buf)
     lines = buf.getvalue().splitlines()
 
     ok = lines[0] == ",".join(RECORD_FIELDS) and len(lines) == 1 + 126

@@ -18,19 +18,21 @@ from stratmst import (
 from stratmst.bench import (
     DEFAULT_SUITE,
     RECORD_FIELDS,
+    BenchRecord,
+    GridCell,
+    SweepPoint,
     grid_metadata,
     skew_to_dist,
-    write_grid_csv,
+    write_csv,
     write_profile_csv,
-    write_records_csv,
-    write_sweep_csv,
 )
+from stratmst.mst import SOLVERS
 
 SMALL_SUITE = (
     SuiteConfig("mini-sparse", "sparse", 40, 48, WeightDist.uniform()),
     SuiteConfig("mini-medium", "medium", 40, 400, WeightDist.half_normal()),
-    SuiteConfig("mini-path", "path", 50, 49, WeightDist.uniform(), kind="path"),
-    SuiteConfig("mini-grid", "grid", 30, 49, WeightDist.uniform(), kind="grid", rows=5, cols=6),
+    SuiteConfig("mini-path", "path", 50, 49, WeightDist.uniform()),
+    SuiteConfig("mini-grid", "grid", 30, 49, WeightDist.uniform(), rows=5, cols=6),
 )
 
 
@@ -84,6 +86,8 @@ def test_summarize_ratios():
     summaries = summarize(records)
     assert [s.label for s in summaries] == [cfg.label for cfg in SMALL_SUITE]
     for s in summaries:
+        assert list(s.time_ns) == list(SOLVERS)
+        assert all(t > 0 for t in s.time_ns.values())
         assert s.ops_ratio >= 1.0
         assert s.eds_sort_ops <= s.m
     path = next(s for s in summaries if s.label == "mini-path")
@@ -122,17 +126,17 @@ def test_sweep_k_dedup_caps_strata():
 def test_strata_profile_shapes():
     g = gen_random(200, 300, WeightDist.uniform(), 99)
     profile = strata_profile(g, 7, seed=99)
-    assert len(profile.stratum_fractions) == 7
-    assert abs(sum(profile.stratum_fractions) - 1.0) <= 1e-9
-    assert all(f >= 0.0 for f in profile.stratum_fractions)
+    assert len(profile) == 7
+    assert abs(sum(profile) - 1.0) <= 1e-9
+    assert all(f >= 0.0 for f in profile)
 
-    assert strata_profile(g, 1, seed=0).stratum_fractions == (1.0,)
+    assert strata_profile(g, 1, seed=0) == (1.0,)
 
     forest = graph_from_edges(4, [(0, 1, 3.0), (2, 3, 5.0)])
-    fracs = strata_profile(forest, 2, seed=1).stratum_fractions
+    fracs = strata_profile(forest, 2, seed=1)
     assert abs(sum(fracs) - 1.0) <= 1e-9
 
-    assert strata_profile(GraphSpec(1, ()), 3, seed=0).stratum_fractions == ()
+    assert strata_profile(GraphSpec(1, ()), 3, seed=0) == ()
 
 
 def test_speedup_grid_markers_and_bounds():
@@ -168,7 +172,7 @@ def test_skew_to_dist_mapping():
 def test_records_csv_header_exact():
     records = run_suite(trials=1, master_seed=1, configs=SMALL_SUITE[:1])
     buf = io.StringIO()
-    write_records_csv(records, buf)
+    write_csv(BenchRecord, records, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == (
         "graph,family,n,m,algo,trial,seed,time_ns,sort_ops,"
@@ -181,7 +185,7 @@ def test_records_csv_header_exact():
 def test_other_csv_writers():
     g = gen_random(50, 120, WeightDist.uniform(), 4)
     buf = io.StringIO()
-    write_sweep_csv(sweep_k(g, [1, 4], trials=1), buf)
+    write_csv(SweepPoint, sweep_k(g, [1, 4], trials=1), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "k,time_ns,sort_ops,strata_processed,strata_total"
     assert len(lines) == 3
@@ -192,7 +196,7 @@ def test_other_csv_writers():
     assert lines[0] == "stratum,fraction"
 
     buf = io.StringIO()
-    write_grid_csv(speedup_grid([0.0001], [0.0], n=100, trials=1), buf)
+    write_csv(GridCell, speedup_grid([0.0001], [0.0], n=100, trials=1), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "density,skew,m,ops_ratio"
     assert lines[1].endswith(",")  # infeasible cell leaves the ratio empty

@@ -1,11 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from stratmst import graph_from_edges, write_edge_list
 from stratmst import bench
 from stratmst.cli import build_parser, main
-from stratmst.mst import SOLVERS
+from stratmst.mst import SOLVERS, Metrics
 from stratmst.validation import CLRS_EDGES, ValidationCase, run_validation
 
 
@@ -79,10 +80,7 @@ def test_mst_metrics_json(clrs_file, capsys):
                  "--input", str(clrs_file)]) == 0
     err = capsys.readouterr().err
     payload = json.loads(err)
-    assert set(payload) == {
-        "sort_ops", "strata_processed", "strata_total",
-        "phase1_ns", "phase2_ns", "phase3_ns", "union_calls",
-    }
+    assert set(payload) == {f.name for f in fields(Metrics)}
     assert payload["sort_ops"] <= 14
 
 
@@ -189,6 +187,12 @@ def test_profile_cli_with_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "profile.csv.meta.json").read_text())
     assert sidecar["k"] == 7
     assert sidecar["seed"] == 9
+
+
+def test_report_commands_reject_zero_trials(clrs_file, capsys):
+    for command in (["bench"], ["sweep-k", "--input", str(clrs_file)], ["grid"]):
+        assert main([*command, "--trials", "0"]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
 
 
 def test_sweep_k_and_profile_reject_bad_k(tmp_path, capsys):
