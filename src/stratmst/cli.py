@@ -74,6 +74,8 @@ def _load_graph(path: str) -> GraphSpec:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except EdgeListError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: input is not valid UTF-8 ({exc.reason})") from exc
 
 
 def _default_m(family: str, n: int) -> int:

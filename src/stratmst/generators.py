@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import EdgeRecord, GraphSpec
+from .graph import GraphSpec
 
 # Clustered noise must never flip a weight's sign.
 CLUSTER_WEIGHT_FLOOR = 0.001
@@ -72,21 +72,25 @@ def gen_random(n: int, m: int, dist: WeightDist, seed: int) -> GraphSpec:
     perm = list(range(n))
     rng.shuffle(perm)
     seen: set[tuple[int, int]] = set()
-    edges: list[EdgeRecord] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
 
     def add(u: int, v: int) -> None:
         seen.add((u, v) if u < v else (v, u))
-        edges.append(EdgeRecord(u, v, dist.sample(rng), len(edges)))
+        us.append(u)
+        vs.append(v)
+        ws.append(dist.sample(rng))
 
     for i in range(1, n):
         add(perm[rng.randrange(i)], perm[i])
-    while len(edges) < m:
+    while len(ws) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v or ((u, v) if u < v else (v, u)) in seen:
             continue
         add(u, v)
-    return GraphSpec(n, tuple(edges))
+    return GraphSpec.from_columns(n, us, vs, ws)
 
 
 def gen_grid(rows: int, cols: int, dist: WeightDist, seed: int) -> GraphSpec:
@@ -94,15 +98,19 @@ def gen_grid(rows: int, cols: int, dist: WeightDist, seed: int) -> GraphSpec:
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
     rng = random.Random(seed)
-    edges: list[EdgeRecord] = []
+    us: list[int] = []
+    vs: list[int] = []
     for r in range(rows):
         for c in range(cols):
             at = r * cols + c
             if c + 1 < cols:
-                edges.append(EdgeRecord(at, at + 1, dist.sample(rng), len(edges)))
+                us.append(at)
+                vs.append(at + 1)
             if r + 1 < rows:
-                edges.append(EdgeRecord(at, at + cols, dist.sample(rng), len(edges)))
-    return GraphSpec(rows * cols, tuple(edges))
+                us.append(at)
+                vs.append(at + cols)
+    ws = [dist.sample(rng) for _ in us]
+    return GraphSpec.from_columns(rows * cols, us, vs, ws)
 
 
 def gen_path(n: int, dist: WeightDist, seed: int) -> GraphSpec:
@@ -110,5 +118,5 @@ def gen_path(n: int, dist: WeightDist, seed: int) -> GraphSpec:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
-    edges = [EdgeRecord(i, i + 1, dist.sample(rng), i) for i in range(n - 1)]
-    return GraphSpec(n, tuple(edges))
+    ws = [dist.sample(rng) for _ in range(n - 1)]
+    return GraphSpec.from_columns(n, range(n - 1), range(1, n), ws)

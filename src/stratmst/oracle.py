@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graph import EdgeRecord, GraphSpec, component_count
+from .graph import GraphSpec, component_count
 from .mst import Metrics, MstResult
 
 EXHAUSTIVE_MAX_N = 10
@@ -26,19 +26,20 @@ def prim_dense(g: GraphSpec) -> MstResult:
     component's tree with linear scans over a best-attachment array.
     """
     n = g.n
-    cheapest: list[dict[int, EdgeRecord]] = [{} for _ in range(n)]
-    for e in g.edges:
-        if e.u == e.v:
+    w = g.w
+    cheapest: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, (a, b) in enumerate(zip(g.u, g.v)):
+        if a == b:
             continue
-        known = cheapest[e.u].get(e.v)
-        if known is None or e.weight < known.weight:
-            cheapest[e.u][e.v] = e
-            cheapest[e.v][e.u] = e
+        known = cheapest[a].get(b)
+        if known is None or w[i] < w[known]:
+            cheapest[a][b] = i
+            cheapest[b][a] = i
 
     in_tree = [False] * n
     cost = [_INF] * n
-    via: list[EdgeRecord | None] = [None] * n
-    accepted: list[EdgeRecord] = []
+    via: list[int | None] = [None] * n
+    accepted: list[int] = []
     for seed in range(n):
         if in_tree[seed]:
             continue
@@ -55,12 +56,12 @@ def prim_dense(g: GraphSpec) -> MstResult:
             in_tree[u] = True
             if via[u] is not None:
                 accepted.append(via[u])
-            for v, e in cheapest[u].items():
-                if not in_tree[v] and e.weight < cost[v]:
-                    cost[v] = e.weight
-                    via[v] = e
-    total = sum(e.weight for e in accepted)
-    return MstResult(tuple(accepted), total, len(accepted), Metrics())
+            for v, i in cheapest[u].items():
+                if not in_tree[v] and w[i] < cost[v]:
+                    cost[v] = w[i]
+                    via[v] = i
+    total = sum(w[i] for i in accepted)
+    return MstResult(g, tuple(accepted), total, len(accepted), Metrics())
 
 
 def exhaustive_mst(g: GraphSpec) -> float:
@@ -77,25 +78,24 @@ def exhaustive_mst(g: GraphSpec) -> float:
     target = g.n - component_count(g)
     if target == 0:
         return 0.0
-    edges = g.edges
+    u, v, w = g.u, g.v, g.w
     best = _INF
     for combo in combinations(range(g.m), target):
         parent = list(range(g.n))
         weight = 0.0
         acyclic = True
         for idx in combo:
-            e = edges[idx]
-            a = e.u
+            a = u[idx]
             while parent[a] != a:
                 a = parent[a]
-            b = e.v
+            b = v[idx]
             while parent[b] != b:
                 b = parent[b]
             if a == b:
                 acyclic = False
                 break
             parent[a] = b
-            weight += e.weight
+            weight += w[idx]
         if acyclic and weight < best:
             best = weight
     return best

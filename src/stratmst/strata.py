@@ -13,7 +13,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import EdgeRecord
 
@@ -74,19 +74,27 @@ class Boundaries:
         return len(self.values)
 
 
-def sample_weights(edges: Sequence[EdgeRecord], size: int, rng: random.Random) -> list[float]:
-    """Weights of `size` edges drawn uniformly without replacement.
+def _sample_positions(m: int, size: int, rng: random.Random) -> list[int]:
+    """``size`` distinct positions in ``range(m)``, drawn uniformly.
 
-    Partial Fisher-Yates over the edge indices, so clamping size to the edge
-    count degenerates gracefully to the whole population.
+    Partial Fisher-Yates over the positions, so clamping size to m
+    degenerates gracefully to the whole population. Only displaced
+    positions are stored, so the cost is O(size), not O(m).
     """
-    if not 0 <= size <= len(edges):
-        raise ValueError(f"sample size {size} out of range for {len(edges)} edges")
-    idx = list(range(len(edges)))
+    if not 0 <= size <= m:
+        raise ValueError(f"sample size {size} out of range for {m} edges")
+    displaced: dict[int, int] = {}
+    picked: list[int] = []
     for j in range(size):
-        r = rng.randrange(j, len(idx))
-        idx[j], idx[r] = idx[r], idx[j]
-    return [edges[i].weight for i in idx[:size]]
+        r = rng.randrange(j, m)
+        picked.append(displaced.get(r, r))
+        displaced[r] = displaced.get(j, j)
+    return picked
+
+
+def sample_weights(edges: Sequence[EdgeRecord], size: int, rng: random.Random) -> list[float]:
+    """Weights of `size` edges drawn uniformly without replacement."""
+    return [edges[i].weight for i in _sample_positions(len(edges), size, rng)]
 
 
 def estimate_boundaries(edges: Sequence[EdgeRecord], k: int, seed: int) -> Boundaries:
@@ -96,13 +104,20 @@ def estimate_boundaries(edges: Sequence[EdgeRecord], k: int, seed: int) -> Bound
     duplicates collapse, so fewer than k-1 boundaries (possibly none) can
     come back; that merely shrinks the effective stratum count.
     """
+    return estimate_cuts(len(edges), lambda i: edges[i].weight, k, seed)
+
+
+def estimate_cuts(
+    m: int, weight_of: Callable[[int], float], k: int, seed: int
+) -> Boundaries:
+    """``estimate_boundaries`` over edge ids ``0..m-1``; ``weight_of(i)`` is
+    called only for the sampled ids."""
     if k < 1:
         raise ValueError(f"stratum count must be >= 1, got {k}")
-    m = len(edges)
     if k == 1 or m == 0:
         return Boundaries()
     rng = random.Random(seed)
-    sample = sample_weights(edges, sample_size(m), rng)
+    sample = [weight_of(i) for i in _sample_positions(m, sample_size(m), rng)]
     sample.sort()
     s = len(sample)
     cuts: list[float] = []
@@ -121,8 +136,18 @@ def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> list[list[
     a boundary lands in the bucket above it. Input order is preserved inside
     each bucket, so downstream sorts stay stable.
     """
+    records = list(edges)
+    buckets = partition_ids([e.weight for e in records], range(len(records)), boundaries)
+    return [[records[i] for i in bucket] for bucket in buckets]
+
+
+def partition_ids(
+    weights: Sequence[float], ids: Iterable[int], boundaries: Boundaries
+) -> list[list[int]]:
+    """``partition`` on columns: bucket each id by its weight, ``weights[i]``
+    belonging to the i-th id, in input order."""
     cuts = boundaries.values
-    buckets: list[list[EdgeRecord]] = [[] for _ in range(len(cuts) + 1)]
-    for e in edges:
-        buckets[bisect_right(cuts, e.weight)].append(e)
+    buckets: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+    for i, x in zip(ids, weights):
+        buckets[bisect_right(cuts, x)].append(i)
     return buckets

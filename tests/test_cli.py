@@ -96,6 +96,14 @@ def test_mst_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_mst_rejects_input_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 1\n0 1 \xff\n")
+    assert main(["mst", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: input is not valid UTF-8 (invalid start byte)\n"
+
+
 def test_validate_all_pass(capsys):
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -101,6 +101,51 @@ def test_graph_rejects_misnumbered_ids():
         GraphSpec(-1, ())
 
 
+def test_from_columns_validates_like_records():
+    with pytest.raises(ValueError, match=r"edge 1: endpoints \(0, 2\) out of range for n=2"):
+        GraphSpec.from_columns(2, [0, 0], [1, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="edge 0: weight nan is not finite"):
+        GraphSpec.from_columns(2, [0], [1], [math.nan])
+    with pytest.raises(ValueError, match="column lengths differ"):
+        GraphSpec.from_columns(2, [0, 1], [1], [1.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        GraphSpec.from_columns(-1, [], [], [])
+
+
+def test_graph_reports_the_first_bad_edge_in_order():
+    # Edge 0's wrong id is reported before edge 1's bad endpoint.
+    with pytest.raises(ValueError, match="edge 0: id 3 does not match"):
+        GraphSpec(2, (EdgeRecord(0, 1, 1.0, 3), EdgeRecord(0, 9, 1.0, 1)))
+    with pytest.raises(ValueError, match="edge 0: endpoints"):
+        GraphSpec(2, (EdgeRecord(0, 9, math.inf, 7),))
+
+
+def test_records_and_columns_build_equal_graphs():
+    records = (EdgeRecord(0, 1, 2.5, 0), EdgeRecord(2, 2, -1.0, 1), EdgeRecord(1, 2, 0.0, 2))
+    g = GraphSpec(3, records)
+    assert g == GraphSpec.from_columns(3, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert (g.u, g.v, g.w) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert g != GraphSpec.from_columns(4, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert g.m == 3
+    assert g.ids == (0, 1, 2)
+
+
+def test_edges_view_builds_records_on_access():
+    g = graph_from_edges(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)])
+    view = g.edges
+    assert len(view) == 3
+    assert view[1] == EdgeRecord(1, 2, 2.0, 1)
+    assert view[-1] == EdgeRecord(2, 3, 3.0, 2)
+    assert list(view) == [view[0], view[1], view[2]]
+    assert EdgeRecord(0, 1, 1.0, 0) in view
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(IndexError):
+        view[-4]
+    with pytest.raises(TypeError):
+        view[0] = EdgeRecord(0, 1, 1.0, 0)
+
+
 def test_graph_allows_self_loops_and_parallels():
     g = graph_from_edges(2, [(0, 0, 1.0), (0, 1, 2.0), (0, 1, 3.0)])
     assert g.m == 3

@@ -5,6 +5,7 @@ import pytest
 from helpers import DISTS, disconnected_graph, tiny_graph
 from stratmst import (
     Boundaries,
+    EdgeRecord,
     GraphSpec,
     StrataParams,
     WeightDist,
@@ -16,7 +17,10 @@ from stratmst import (
     kruskal_heap,
     kruskal_std,
     mst_weight_equal,
+    write_edge_list,
 )
+from stratmst.cli import main
+from stratmst.mst import SOLVERS
 from stratmst.validation import CLRS_EDGES
 
 ALGOS = (
@@ -196,3 +200,27 @@ def test_eds_agrees_with_std_across_k_and_seeds():
         k = rng.choice([1, 2, rng.randint(1, g.m), g.m, None])
         res = kruskal_eds(g, StrataParams(k=k, seed=rng.randrange(2**32)))
         assert mst_weight_equal(res, std)
+
+
+def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
+    g = gen_random(400, 4000, WeightDist.uniform(), seed=8)
+    path = tmp_path / "g.txt"
+    with open(path, "w") as stream:
+        write_edge_list(g, stream)
+    built = []
+    init = EdgeRecord.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(EdgeRecord, "__init__", counting_init)
+    for k in ("auto", "1", "7"):
+        assert main(["mst", "--input", str(path), "--k", k]) == 0
+    results = [solve(g, StrataParams()) for solve in SOLVERS.values()]
+    assert results[1].metrics.strata_total > 1  # eds sampled and partitioned
+    assert built == []
+    # Records appear only when asked for: one per accepted edge.
+    edges = results[0].edges
+    assert len(built) == len(edges) == g.n - 1
+    assert edges[0] == g.edges[edges[0].id]

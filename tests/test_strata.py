@@ -93,6 +93,27 @@ def test_sample_weights_is_without_replacement():
         sample_weights(edges, 31, random.Random(4))
 
 
+def list_fisher_yates(m, size, rng):
+    """Partial Fisher-Yates over a materialised position list."""
+    idx = list(range(m))
+    for j in range(size):
+        r = rng.randrange(j, len(idx))
+        idx[j], idx[r] = idx[r], idx[j]
+    return idx[:size]
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 200, 10**4, 4 * 10**5])
+def test_sample_weights_matches_list_fisher_yates(m):
+    # Weight i at position i, so the sampled weights are the sampled positions.
+    edges = edges_with_weights([float(i) for i in range(m)])
+    for size in sorted({0, 1, 20, sample_size(m), m}):
+        if size > m:
+            continue
+        for seed in range(5):
+            want = [float(i) for i in list_fisher_yates(m, size, random.Random(seed))]
+            assert sample_weights(edges, size, random.Random(seed)) == want
+
+
 def test_partition_example():
     edges = edges_with_weights([2.0, 3.0, 5.0, 7.0, 9.0])
     strat = partition(edges, Boundaries((3.0, 7.0)))
