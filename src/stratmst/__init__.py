@@ -17,7 +17,6 @@ from .bench import (
 from .edgelist import EdgeListError, load_edge_list, read_edge_list, write_edge_list
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import (
-    DisjointSetForest,
     EdgeRecord,
     GraphSpec,
     component_count,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Boundaries",
-    "DisjointSetForest",
     "EdgeListError",
     "EdgeRecord",
     "GraphSpec",

@@ -1,4 +1,8 @@
-"""Graph primitives: weighted edges, columnar graph specs, and union-find."""
+"""Graph primitives: weighted edges, columnar graph specs, and the Kruskal scan.
+
+``kruskal_scan`` is the only union-find in the package: every solver in
+``mst`` and ``component_count`` run their edges through it.
+"""
 
 from __future__ import annotations
 
@@ -139,59 +143,49 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> GraphSp
     return GraphSpec.from_columns(n, u, v, w)
 
 
-class DisjointSetForest:
-    """Union-find over dense 0-based indices with union by rank and path compression.
+def kruskal_scan(
+    parent: list[int],
+    rank: list[int],
+    g: GraphSpec,
+    ordered_ids: Iterable[int],
+    accepted: list[int],
+    target: int,
+) -> int:
+    """Greedy Kruskal scan: the one union-find every solver shares.
 
-    ``find`` compresses the whole path; ``union`` halves paths inline.
-    Single-owner mutable: one execution context at a time.
+    ``parent`` and ``rank`` are the forest over ``0..n-1``, created as
+    ``list(range(n))`` and ``[0] * n`` and carried between calls. Each edge
+    id in ``ordered_ids`` joins the trees of its endpoints (union by rank,
+    path halving); ids that join two trees are appended to ``accepted``,
+    and the scan stops as soon as ``accepted`` holds ``target`` ids.
+    Endpoints are not range-checked: ``GraphSpec`` already did that.
+    Returns the number of ids scanned.
     """
-
-    __slots__ = ("parent", "rank", "components")
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError(f"size must be non-negative, got {n}")
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.components = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        if not 0 <= x < len(parent):
-            raise IndexError(f"vertex {x} out of range for forest of size {len(parent)}")
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of a and b; True iff they were distinct."""
-        parent = self.parent
-        size = len(parent)
-        if not (0 <= a < size and 0 <= b < size):
-            bad = b if 0 <= a < size else a
-            raise IndexError(f"vertex {bad} out of range for forest of size {size}")
+    u, v = g.u, g.v
+    scanned = 0
+    for i in ordered_ids:
+        scanned += 1
+        a = u[i]
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
+        b = v[i]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
         if a == b:
-            return False
-        rank = self.rank
+            continue
         if rank[a] < rank[b]:
             a, b = b, a
         parent[b] = a
         if rank[a] == rank[b]:
             rank[a] += 1
-        self.components -= 1
-        return True
+        accepted.append(i)
+        if len(accepted) == target:
+            break
+    return scanned
 
 
 def component_count(g: GraphSpec) -> int:
-    """Number of connected components, computed by unioning every edge."""
-    forest = DisjointSetForest(g.n)
-    for a, b in zip(g.u, g.v):
-        forest.union(a, b)
-    return forest.components
+    """Number of connected components: n minus the edges of a spanning forest."""
+    accepted: list[int] = []
+    kruskal_scan(list(range(g.n)), [0] * g.n, g, range(g.m), accepted, g.n - 1)
+    return g.n - len(accepted)

@@ -1,7 +1,7 @@
 """Minimum spanning tree and forest solvers with uniform instrumentation.
 
-Three interchangeable solvers feed one greedy accept loop over one
-union-find:
+Three interchangeable solvers feed their edges, in weight order, to the
+one greedy union-find scan, ``graph.kruskal_scan``:
 
 * ``kruskal_eds``  - sample, partition into weight strata, sort strata on
   demand, and stop the moment the spanning forest is complete.
@@ -22,9 +22,9 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable
 
-from .graph import DisjointSetForest, EdgeRecord, GraphSpec
+from .graph import EdgeRecord, GraphSpec, kruskal_scan
 from .strata import Boundaries, StrataParams, estimate_cuts, partition_ids
 
 WEIGHT_RTOL = 1e-9
@@ -101,31 +101,6 @@ def _result(g: GraphSpec, accepted: list[int], metrics: Metrics) -> MstResult:
     )
 
 
-def _accept(
-    forest: DisjointSetForest,
-    g: GraphSpec,
-    ordered_ids: Iterable[int],
-    accepted: list[int],
-    target: int,
-) -> int:
-    """Greedy Kruskal scan shared by every solver.
-
-    Unions the endpoints of each edge id in the given order, appends the ids
-    that join two components to ``accepted``, and stops as soon as
-    ``accepted`` holds ``target`` ids. Returns the number of union calls made.
-    """
-    union = forest.union
-    u, v = g.u, g.v
-    union_calls = 0
-    for i in ordered_ids:
-        union_calls += 1
-        if union(u[i], v[i]):
-            accepted.append(i)
-            if len(accepted) == target:
-                break
-    return union_calls
-
-
 def kruskal_std(g: GraphSpec) -> MstResult:
     """Baseline Kruskal: sort all m edges by weight, then greedily accept.
 
@@ -147,8 +122,9 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     heapq.heapify(heap)
     t1 = time.perf_counter_ns()
     accepted: list[int] = []
-    pops = _accept(
-        DisjointSetForest(g.n),
+    pops = kruskal_scan(
+        list(range(g.n)),
+        [0] * g.n,
         g,
         (heapq.heappop(heap)[1] for _ in range(g.m)),
         accepted,
@@ -207,7 +183,7 @@ def kruskal_eds(
         buckets = partition_ids(g.w, g.ids, boundaries)
         t2 = time.perf_counter_ns()
 
-    forest = DisjointSetForest(g.n)
+    parent, rank = list(range(g.n)), [0] * g.n
     accepted: list[int] = []
     target = g.n - 1
     sort_ops = 0
@@ -221,7 +197,7 @@ def kruskal_eds(
         bucket.sort(key=weight)
         sort_ops += len(bucket)
         before = len(accepted)
-        union_calls += _accept(forest, g, bucket, accepted, target)
+        union_calls += kruskal_scan(parent, rank, g, bucket, accepted, target)
         accepted_per[i] = len(accepted) - before
         if len(accepted) == target:
             break

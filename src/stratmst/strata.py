@@ -120,9 +120,12 @@ def estimate_cuts(
     sample = [weight_of(i) for i in _sample_positions(m, sample_size(m), rng)]
     sample.sort()
     s = len(sample)
+    # For k > s the positions (i*s)//k, i = 1..k-1, are exactly 0..s-1, so
+    # the loop costs O(s) whatever k is.
+    positions = range(s) if k > s else ((i * s) // k for i in range(1, k))
     cuts: list[float] = []
-    for i in range(1, k):
-        value = sample[(i * s) // k]
+    for p in positions:
+        value = sample[p]
         if not cuts or value > cuts[-1]:
             cuts.append(value)
     return Boundaries(tuple(cuts))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
+import stratmst
 from stratmst import graph_from_edges, write_edge_list
 from stratmst import bench
 from stratmst.cli import build_parser, main
@@ -102,6 +106,27 @@ def test_mst_rejects_input_that_is_not_utf8(tmp_path, capsys):
     assert main(["mst", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}: input is not valid UTF-8 (invalid start byte)\n"
+
+
+def test_python_m_cli_runs_main(clrs_file, tmp_path, capsys):
+    # The child imports this checkout's package, wherever pytest found it.
+    path = [os.path.dirname(os.path.dirname(stratmst.__file__))]
+    path += filter(None, [os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n0 5 1.0\n")
+    for args, rc in (
+        (["mst", "--input", str(clrs_file), "--algo", "eds", "--k", "3"], 0),
+        (["mst", "--input", str(bad)], 2),
+    ):
+        assert main(args) == rc
+        want = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "stratmst.cli", *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want.out, want.err)
+    assert want.err.startswith("error: ") and "line 2" in want.err
 
 
 def test_validate_all_pass(capsys):

@@ -1,13 +1,13 @@
 import io
 import math
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratmst import (
-    DisjointSetForest,
     EdgeListError,
     EdgeRecord,
     GraphSpec,
@@ -18,57 +18,48 @@ from stratmst import (
 )
 
 
-def test_fresh_forest():
-    assert DisjointSetForest(0).components == 0
-    assert DisjointSetForest(1).components == 1
-    f = DisjointSetForest(5)
-    assert f.components == 5
-    assert [f.find(i) for i in range(5)] == [0, 1, 2, 3, 4]
-
-
-def test_union_sequence():
-    f = DisjointSetForest(3)
-    assert f.union(0, 1) is True
-    assert f.union(0, 1) is False
-    assert f.union(1, 2) is True
-    assert f.components == 1
-    assert f.find(0) == f.find(2)
-
-
-def test_self_union_is_noop():
-    f = DisjointSetForest(4)
-    assert f.union(2, 2) is False
-    assert f.components == 4
-
-
-@pytest.mark.parametrize("bad", [-1, 3, 100])
-def test_out_of_range_vertex(bad):
-    f = DisjointSetForest(3)
-    with pytest.raises(IndexError):
-        f.find(bad)
-    with pytest.raises(IndexError):
-        f.union(0, bad)
-
-
-def test_negative_size_rejected():
-    with pytest.raises(ValueError):
-        DisjointSetForest(-1)
-
-
-@given(
-    n=st.integers(min_value=1, max_value=30),
-    pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80),
-)
-def test_components_track_successful_unions(n, pairs):
-    f = DisjointSetForest(n)
-    successes = 0
+def bfs_component_count(n, pairs):
+    adjacent = [[] for _ in range(n)]
     for a, b in pairs:
-        if a < n and b < n:
-            successes += f.union(a, b)
-    assert f.components == n - successes
-    # find is stable without intervening unions
-    for x in range(n):
-        assert f.find(x) == f.find(x)
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = [False] * n
+    components = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        components += 1
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+    return components
+
+
+@st.composite
+def vertex_pairs(draw):
+    """n in 0..30 and an edge list with self-loops, parallel edges and
+    (through sparse draws) isolated vertices."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    if n == 0:
+        return 0, []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    loops = draw(st.lists(vertex.map(lambda x: (x, x)), max_size=5))
+    parallels = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    pairs = pairs + loops + parallels
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=vertex_pairs())
+def test_component_count_matches_bfs(case):
+    n, pairs = case
+    g = graph_from_edges(n, [(a, b, 1.0) for a, b in pairs])
+    assert component_count(g) == bfs_component_count(n, pairs)
 
 
 def test_component_count_examples():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import DISTS, disconnected_graph, tiny_graph
 from stratmst import (
@@ -224,3 +226,65 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
     edges = results[0].edges
     assert len(built) == len(edges) == g.n - 1
     assert edges[0] == g.edges[edges[0].id]
+
+
+def reference_kruskal(g):
+    """Accepted ids and ids scanned: a global (w, id) sort and a union-find
+    with no rank and no compression, independent of ``kruskal_scan``."""
+    parent = list(range(g.n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    accepted = []
+    scanned = 0
+    for i in sorted(range(g.m), key=lambda i: (g.w[i], i)):
+        if len(accepted) == g.n - 1:
+            break
+        scanned += 1
+        a, b = root(g.u[i]), root(g.v[i])
+        if a != b:
+            parent[a] = b
+            accepted.append(i)
+    return accepted, scanned
+
+
+# Few distinct weights force ties; -0.0 and 0.0 compare equal, so only the
+# id orders them.
+tie_weights = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]) | st.floats(
+    -5.0, 5.0, allow_nan=False
+)
+
+
+@st.composite
+def graphs_with_boundaries(draw):
+    """Graphs with ties, signed zeros, parallel edges, self-loops and
+    disconnected parts, plus an explicit cut vector."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    edges = []
+    if n:
+        vertex = st.integers(0, n - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex, tie_weights), max_size=60))
+        edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
+    cuts = draw(st.lists(tie_weights, max_size=6))
+    return graph_from_edges(n, edges), Boundaries(tuple(sorted(set(cuts))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=graphs_with_boundaries(), k=st.sampled_from([None, 1, 2, 3, 7, 10**9]))
+def test_every_solver_accepts_the_reference_kruskal_ids(case, k):
+    g, cuts = case
+    want, scanned = reference_kruskal(g)
+    std, heap = kruskal_std(g), kruskal_heap(g)
+    for res in (
+        std,
+        heap,
+        kruskal_eds(g, StrataParams(k=k, seed=5)),
+        kruskal_eds(g, boundaries=cuts),
+    ):
+        assert res.edge_ids == tuple(want)
+        assert res.accepted_count == len(want)
+    if g.n > 1:
+        assert std.metrics.union_calls == heap.metrics.union_calls == scanned

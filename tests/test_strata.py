@@ -15,6 +15,7 @@ from stratmst import (
     sample_size,
     sample_weights,
 )
+from stratmst.strata import estimate_cuts
 
 
 def edges_with_weights(weights):
@@ -112,6 +113,39 @@ def test_sample_weights_matches_list_fisher_yates(m):
         for seed in range(5):
             want = [float(i) for i in list_fisher_yates(m, size, random.Random(seed))]
             assert sample_weights(edges, size, random.Random(seed)) == want
+
+
+def cuts_by_every_k(m, weight_of, k, seed):
+    """Phase 1 by its definition: one cut position per i in 1..k-1, O(k)."""
+    sample = sorted(weight_of(i) for i in list_fisher_yates(m, sample_size(m), random.Random(seed)))
+    s = len(sample)
+    cuts = []
+    for i in range(1, k):
+        value = sample[(i * s) // k]
+        if not cuts or value > cuts[-1]:
+            cuts.append(value)
+    return cuts
+
+
+@pytest.mark.parametrize("m", [2, 10, 21, 200, 5000])
+def test_estimate_cuts_matches_one_cut_per_k(m):
+    rng = random.Random(m)
+    # Coarse weights give duplicate sample values, so deduplication matters.
+    weights = [float(rng.randrange(m // 2 + 1)) for _ in range(m)]
+    s = sample_size(m)
+    for k in sorted({s - 1, s, s + 1, 10 * s} - {0}):
+        for seed in range(3):
+            want = cuts_by_every_k(m, weights.__getitem__, k, seed)
+            got = estimate_cuts(m, weights.__getitem__, k, seed)
+            assert got.values == tuple(want), (k, seed)
+
+
+def test_estimate_cuts_cost_does_not_grow_with_k():
+    weights = [float(i) for i in range(10**4)]
+    got = estimate_cuts(len(weights), weights.__getitem__, 10**12, seed=1)
+    # More strata than samples: every sampled weight is a cut.
+    assert got.values == tuple(cuts_by_every_k(len(weights), weights.__getitem__, 400, 1))
+    assert len(got) == sample_size(len(weights))
 
 
 def test_partition_example():
