@@ -60,11 +60,18 @@ class CliError(Exception):
 
 @contextmanager
 def _open_out(path: str | None) -> Iterator[IO[str]]:
+    """Standard output, or ``path`` opened for writing: the one place the CLI
+    opens an output file. Commands open it after their computation, so a
+    failed run never truncates an existing file."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as stream:
-            yield stream
+        return
+    try:
+        stream = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with stream:
+        yield stream
 
 
 def _load_graph(path: str) -> GraphSpec:
@@ -103,11 +110,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             g = gen_random(args.n, m, RANDOM_FAMILIES[args.family], args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if args.out is None:
-        write_edge_list(g, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as stream:
-            write_edge_list(g, stream)
+    with _open_out(args.out) as stream:
+        write_edge_list(g, stream)
+    if args.out is not None:
         print(f"{g.n} {g.m}")
     return 0
 
@@ -169,7 +174,7 @@ def _write_sidecar(out: str | None, metadata: dict) -> None:
     if out is None:
         print(text, file=sys.stderr)
     else:
-        with open(out + ".meta.json", "w", encoding="utf-8") as stream:
+        with _open_out(out + ".meta.json") as stream:
             stream.write(text + "\n")
 
 

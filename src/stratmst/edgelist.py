@@ -141,7 +141,8 @@ def read_edge_list(stream: IO[str]) -> GraphSpec:
         no += len(chunk)
     if len(w) != m:
         raise EdgeListError(last_no, f"expected {m} edges, found only {len(w)}")
-    return GraphSpec.from_columns(n, u, v, w)
+    # Both chunk parsers checked every endpoint and weight already.
+    return GraphSpec._from_checked_columns(n, u, v, w)
 
 
 def load_edge_list(path: str) -> GraphSpec:

@@ -83,6 +83,15 @@ class GraphSpec:
         g._set(n, list(u), list(v), list(w))
         return g
 
+    @classmethod
+    def _from_checked_columns(
+        cls, n: int, u: list[int], v: list[int], w: list[float]
+    ) -> GraphSpec:
+        """Adopt already-checked list columns without copying or re-checking them."""
+        g = cls.__new__(cls)
+        g._assign(n, u, v, w)
+        return g
+
     def _set(
         self,
         n: int,
@@ -112,6 +121,9 @@ class GraphSpec:
                     raise ValueError(f"edge {pos}: weight {w[pos]!r} is not finite")
                 if ids is not None and ids[pos] != pos:
                     raise ValueError(f"edge {pos}: id {ids[pos]} does not match its position")
+        self._assign(n, u, v, w)
+
+    def _assign(self, n: int, u: list[int], v: list[int], w: list[float]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)

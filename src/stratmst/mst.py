@@ -38,9 +38,8 @@ class Metrics:
     sort the run performed (for the heap solver: the number of pops). It
     never exceeds m. Phase timings come from a monotonic clock in
     nanoseconds and are machine- and runtime-specific; nothing asserts on
-    them. ``accepted_per_stratum`` (read by the profile report) and
-    ``strata_nonempty`` are extra diagnostics; ``stratmst mst --metrics``
-    prints every field.
+    them. ``accepted_per_stratum`` is read by the profile report;
+    ``stratmst mst --metrics`` prints every field.
     """
 
     sort_ops: int = 0
@@ -50,7 +49,6 @@ class Metrics:
     phase2_ns: int = 0
     phase3_ns: int = 0
     union_calls: int = 0
-    strata_nonempty: int = 0
     accepted_per_stratum: tuple[int, ...] = ()
 
 
@@ -58,16 +56,27 @@ class Metrics:
 class MstResult:
     """Accepted edges of a minimum spanning forest plus run metrics.
 
-    ``edge_ids`` holds the accepted edge ids in acceptance order, and
-    ``total_weight`` sums their weights in that order. ``edges`` builds
-    their ``EdgeRecord``s from ``graph`` on first access.
+    Built as ``MstResult(graph, edge_ids, metrics)`` by every solver and
+    oracle alike. ``edge_ids`` holds the accepted edge ids in acceptance
+    order. ``total_weight`` is derived at construction: their weights summed
+    in that order from ``0.0``, so it is a float even when nothing is
+    accepted. ``accepted_count`` is ``len(edge_ids)``. ``edges`` builds the
+    accepted ``EdgeRecord``s from ``graph`` on first access.
     """
 
     graph: GraphSpec = field(repr=False, compare=False)
     edge_ids: tuple[int, ...]
-    total_weight: float
-    accepted_count: int
     metrics: Metrics
+    total_weight: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        ids = tuple(self.edge_ids)
+        object.__setattr__(self, "edge_ids", ids)
+        object.__setattr__(self, "total_weight", sum(map(self.graph.w.__getitem__, ids), 0.0))
+
+    @property
+    def accepted_count(self) -> int:
+        return len(self.edge_ids)
 
     @cached_property
     def edges(self) -> tuple[EdgeRecord, ...]:
@@ -87,20 +96,6 @@ class MstResult:
         return tuple(map(by_id.__getitem__, self.edge_ids))
 
 
-def _empty_result(g: GraphSpec) -> MstResult:
-    return MstResult(g, (), 0.0, 0, Metrics())
-
-
-def _result(g: GraphSpec, accepted: list[int], metrics: Metrics) -> MstResult:
-    return MstResult(
-        g,
-        tuple(accepted),
-        sum(map(g.w.__getitem__, accepted)),
-        len(accepted),
-        metrics,
-    )
-
-
 def kruskal_std(g: GraphSpec) -> MstResult:
     """Baseline Kruskal: sort all m edges by weight, then greedily accept.
 
@@ -116,7 +111,7 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     the heap simply drains. ``sort_ops`` records the pops performed.
     """
     if g.n <= 1 or g.m == 0:
-        return _empty_result(g)
+        return MstResult(g, (), Metrics())
     t0 = time.perf_counter_ns()
     heap = list(zip(g.w, g.ids))
     heapq.heapify(heap)
@@ -138,10 +133,9 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
         phase2_ns=t1 - t0,
         phase3_ns=t2 - t1,
         union_calls=pops,
-        strata_nonempty=1,
         accepted_per_stratum=(len(accepted),),
     )
-    return _result(g, accepted, metrics)
+    return MstResult(g, accepted, metrics)
 
 
 def kruskal_eds(
@@ -169,7 +163,7 @@ def kruskal_eds(
     if params is None:
         params = StrataParams()
     if g.n <= 1 or g.m == 0:
-        return _empty_result(g)
+        return MstResult(g, (), Metrics())
     k = params.resolve_k(g.m)
     weight = g.w.__getitem__
 
@@ -210,10 +204,9 @@ def kruskal_eds(
         phase2_ns=t2 - t1,
         phase3_ns=t3 - t2,
         union_calls=union_calls,
-        strata_nonempty=sum(1 for b in buckets if b),
         accepted_per_stratum=tuple(accepted_per),
     )
-    return _result(g, accepted, metrics)
+    return MstResult(g, accepted, metrics)
 
 
 # Every solver by its CLI name, called as ``solve(g, params)``. ``params``

@@ -60,8 +60,7 @@ def prim_dense(g: GraphSpec) -> MstResult:
                 if not in_tree[v] and w[i] < cost[v]:
                     cost[v] = w[i]
                     via[v] = i
-    total = sum(w[i] for i in accepted)
-    return MstResult(g, tuple(accepted), total, len(accepted), Metrics())
+    return MstResult(g, accepted, Metrics())
 
 
 def exhaustive_mst(g: GraphSpec) -> float:

@@ -79,6 +79,9 @@ def test_run_suite_reproducible_modulo_timing():
 def test_run_suite_rejects_bad_trials():
     with pytest.raises(ValueError):
         run_suite(trials=0, configs=SMALL_SUITE)
+    infeasible = SuiteConfig("too-many", "sparse", 3, 9, WeightDist.uniform())
+    with pytest.raises(ValueError, match="generation failed for 'too-many': m=9 infeasible"):
+        run_suite(trials=1, configs=[infeasible])
 
 
 def test_summarize_ratios():

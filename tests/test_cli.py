@@ -53,11 +53,16 @@ def test_gen_infeasible_params(capsys):
     rc = main(["gen", "--family", "sparse", "--n", "3", "--m", "9", "--seed", "1"])
     assert rc == 2
     assert "infeasible" in capsys.readouterr().err
+    assert main(["gen", "--family", "path", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
 
 
 def test_gen_grid_needs_dims(capsys):
     assert main(["gen", "--family", "grid", "--seed", "1"]) == 2
     assert "--rows" in capsys.readouterr().err
+    for family in ("path", "sparse"):
+        assert main(["gen", "--family", family]) == 2
+        assert capsys.readouterr().err == f"error: {family} family needs --n\n"
 
 
 def test_mst_eds_on_clrs(clrs_file, capsys):
@@ -86,6 +91,24 @@ def test_mst_metrics_json(clrs_file, capsys):
     payload = json.loads(err)
     assert set(payload) == {f.name for f in fields(Metrics)}
     assert payload["sort_ops"] <= 14
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mst", "--k", "x"], "expected an integer or 'auto', got 'x'"),
+        (["mst", "--k", "0"], "stratum count must be >= 1, got 0"),
+        (["sweep-k", "--k-values", "2,x"], "expected comma-separated integers, got '2,x'"),
+        (["grid", "--density", "a"], "expected comma-separated numbers, got 'a'"),
+    ],
+)
+def test_bad_option_values_exit_2(clrs_file, capsys, argv, message):
+    if argv[0] != "grid":
+        argv = [*argv, "--input", str(clrs_file)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
 
 
 def test_mst_missing_file(capsys):
@@ -245,3 +268,25 @@ def test_grid_cli(tmp_path, capsys):
     assert len(lines) == 1 + 4
     sidecar = json.loads((tmp_path / "grid.csv.meta.json").read_text())
     assert "skew_to_alpha" in sidecar
+
+
+def test_unwritable_out_is_a_clean_error(clrs_file, tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    commands = (
+        ["gen", "--family", "path", "--n", "5"],
+        ["bench", "--trials", "1"],
+        ["sweep-k", "--input", str(clrs_file), "--k-values", "2", "--trials", "1"],
+        ["profile", "--input", str(clrs_file), "--k", "2"],
+        ["grid", "--n", "20", "--density", "0.5", "--skew", "0", "--trials", "1"],
+    )
+    for command in commands:
+        for out, reason in ((not_a_dir / "x.csv", "Not a directory"), (tmp_path, "Is a directory")):
+            assert main([*command, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"error: cannot write {out}: {reason}\n", command
+    # The CSV is written; then its sidecar path turns out to be a directory.
+    out = tmp_path / "profile.csv"
+    (tmp_path / "profile.csv.meta.json").mkdir()
+    assert main([*commands[3], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}.meta.json: Is a directory\n"
+    assert out.read_text().startswith("stratum,fraction")

@@ -23,6 +23,7 @@ from stratmst import (
 )
 from stratmst.cli import main
 from stratmst.mst import SOLVERS
+from stratmst.oracle import prim_dense
 from stratmst.validation import CLRS_EDGES
 
 ALGOS = (
@@ -118,6 +119,12 @@ def test_empty_inputs_give_zero_result():
             assert res.metrics.sort_ops == 0
     loop_only = graph_from_edges(1, [(0, 0, 2.0)])
     assert kruskal_std(loop_only).accepted_count == 0
+    # Nothing accepted on a graph that has edges: the total is still a float.
+    loops = graph_from_edges(3, [(0, 0, 2.0), (2, 2, -1.0)])
+    for run in (*ALGOS, prim_dense):
+        res = run(loops)
+        assert (res.edge_ids, res.accepted_count) == ((), 0)
+        assert type(res.total_weight) is float and res.total_weight == 0.0
 
 
 def test_self_loops_never_accepted():

@@ -28,6 +28,8 @@ def test_sample_size_values():
     assert sample_size(50) == 20
     assert sample_size(10000) == 200
     assert sample_size(1) == 1
+    with pytest.raises(ValueError, match="edge count must be non-negative, got -1"):
+        sample_size(-1)
 
 
 def test_optimal_k_values():
@@ -37,6 +39,8 @@ def test_optimal_k_values():
     assert optimal_k(200) == 7
     assert optimal_k(600) == 10
     assert optimal_k(40000) == 62
+    with pytest.raises(ValueError, match="edge count must be non-negative, got -1"):
+        optimal_k(-1)
 
 
 def test_strata_params_validation():
