@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
@@ -62,16 +63,16 @@ class CliError(Exception):
 def _open_out(path: str | None) -> Iterator[IO[str]]:
     """Standard output, or ``path`` opened for writing: the one place the CLI
     opens an output file. Commands open it after their computation, so a
-    failed run never truncates an existing file."""
+    failed run never truncates an existing file. A failed open, write or
+    close of ``path`` becomes a ``CliError``."""
     if path is None:
         yield sys.stdout
         return
     try:
-        stream = open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    with stream:
-        yield stream
 
 
 def _load_graph(path: str) -> GraphSpec:
@@ -275,10 +276,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of standard output left (say, ``| head``). Python flushes
+        # stdout again at exit, so point it at devnull to keep that quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

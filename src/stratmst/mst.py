@@ -119,7 +119,6 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     accepted: list[int] = []
     pops = kruskal_scan(
         list(range(g.n)),
-        [0] * g.n,
         g,
         (heapq.heappop(heap)[1] for _ in range(g.m)),
         accepted,
@@ -177,7 +176,7 @@ def kruskal_eds(
         buckets = partition_ids(g.w, g.ids, boundaries)
         t2 = time.perf_counter_ns()
 
-    parent, rank = list(range(g.n)), [0] * g.n
+    parent = list(range(g.n))
     accepted: list[int] = []
     target = g.n - 1
     sort_ops = 0
@@ -191,7 +190,7 @@ def kruskal_eds(
         bucket.sort(key=weight)
         sort_ops += len(bucket)
         before = len(accepted)
-        union_calls += kruskal_scan(parent, rank, g, bucket, accepted, target)
+        union_calls += kruskal_scan(parent, g, bucket, accepted, target)
         accepted_per[i] = len(accepted) - before
         if len(accepted) == target:
             break

@@ -131,11 +131,21 @@ def test_mst_rejects_input_that_is_not_utf8(tmp_path, capsys):
     assert err == f"error: {bad}: input is not valid UTF-8 (invalid start byte)\n"
 
 
-def test_python_m_cli_runs_main(clrs_file, tmp_path, capsys):
-    # The child imports this checkout's package, wherever pytest found it.
+def _cli_child_env():
+    """Environment whose ``python -m stratmst.cli`` imports this checkout's
+    package, wherever pytest found it."""
     path = [os.path.dirname(os.path.dirname(stratmst.__file__))]
     path += filter(None, [os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+# Development mode with warnings as errors: a ResourceWarning in the child,
+# such as an unclosed output file, fails the test as it would in-process.
+CLI_CHILD = (sys.executable, "-X", "dev", "-W", "error", "-m", "stratmst.cli")
+
+
+def test_python_m_cli_runs_main(clrs_file, tmp_path, capsys):
+    env = _cli_child_env()
     bad = tmp_path / "bad.txt"
     bad.write_text("2 1\n0 5 1.0\n")
     for args, rc in (
@@ -145,11 +155,23 @@ def test_python_m_cli_runs_main(clrs_file, tmp_path, capsys):
         assert main(args) == rc
         want = capsys.readouterr()
         proc = subprocess.run(
-            [sys.executable, "-m", "stratmst.cli", *args],
-            capture_output=True, text=True, env=env, timeout=60,
+            [*CLI_CHILD, *args], capture_output=True, text=True, env=env, timeout=60
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want.out, want.err)
     assert want.err.startswith("error: ") and "line 2" in want.err
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # The reader leaves after one line, as ``| head -1`` does, long before
+    # the child has written its 100k edges.
+    with subprocess.Popen(
+        [*CLI_CHILD, "gen", "--family", "path", "--n", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_child_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"100000 99999\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_validate_all_pass(capsys):
@@ -290,3 +312,10 @@ def test_unwritable_out_is_a_clean_error(clrs_file, tmp_path, capsys):
     assert main([*commands[3], "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}.meta.json: Is a directory\n"
     assert out.read_text().startswith("stratum,fraction")
+    # Opening /dev/full succeeds; the write or the close then fails.
+    if os.path.exists("/dev/full"):
+        for command in (commands[0], commands[2]):
+            assert main([*command, "--out", "/dev/full"]) == 2, command
+            assert capsys.readouterr().err == (
+                "error: cannot write /dev/full: No space left on device\n"
+            ), command

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import DISTS, disconnected_graph, tiny_graph
@@ -279,19 +279,45 @@ def graphs_with_boundaries(draw):
     return graph_from_edges(n, edges), Boundaries(tuple(sorted(set(cuts))))
 
 
+def _row_major_grid(rows, cols):
+    """Grid whose edge weights rise in row-major order of their first endpoint."""
+    edges = []
+    for x in range(rows * cols):
+        if (x + 1) % cols:
+            edges.append((x, x + 1, float(len(edges))))
+        if x + cols < rows * cols:
+            edges.append((x, x + cols, float(len(edges))))
+    return graph_from_edges(rows * cols, edges)
+
+
+# Inputs that build deep trees when the union-find links roots by index.
+STAR_FIRST = graph_from_edges(12, [(0, x, float(x % 5)) for x in range(1, 12)])
+STAR_LAST = graph_from_edges(12, [(11, x, float(x % 5)) for x in range(11)])
+PATH_RISING = graph_from_edges(12, [(x, x + 1, float(x)) for x in range(11)])
+PATH_FALLING = graph_from_edges(12, [(x, x + 1, float(11 - x)) for x in range(11)])
+TOP_ISOLATED = graph_from_edges(
+    12, [(0, 1, 2.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 0.0), (3, 4, -0.0), (4, 5, 3.0)]
+)
+LINKING_CUTS = Boundaries((1.0, 4.0))
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=graphs_with_boundaries(), k=st.sampled_from([None, 1, 2, 3, 7, 10**9]))
+@example(case=(STAR_FIRST, LINKING_CUTS), k=3)
+@example(case=(STAR_LAST, LINKING_CUTS), k=3)
+@example(case=(PATH_RISING, LINKING_CUTS), k=3)
+@example(case=(PATH_FALLING, LINKING_CUTS), k=3)
+@example(case=(_row_major_grid(4, 5), LINKING_CUTS), k=3)
+@example(case=(TOP_ISOLATED, LINKING_CUTS), k=3)
 def test_every_solver_accepts_the_reference_kruskal_ids(case, k):
     g, cuts = case
     want, scanned = reference_kruskal(g)
-    std, heap = kruskal_std(g), kruskal_heap(g)
     for res in (
-        std,
-        heap,
+        kruskal_std(g),
+        kruskal_heap(g),
         kruskal_eds(g, StrataParams(k=k, seed=5)),
         kruskal_eds(g, boundaries=cuts),
     ):
         assert res.edge_ids == tuple(want)
         assert res.accepted_count == len(want)
-    if g.n > 1:
-        assert std.metrics.union_calls == heap.metrics.union_calls == scanned
+        assert res.metrics.union_calls == scanned
