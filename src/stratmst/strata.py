@@ -114,8 +114,6 @@ def estimate_cuts(
     called only for the sampled ids."""
     if k < 1:
         raise ValueError(f"stratum count must be >= 1, got {k}")
-    if k == 1 or m == 0:
-        return Boundaries()
     rng = random.Random(seed)
     sample = [weight_of(i) for i in _sample_positions(m, sample_size(m), rng)]
     sample.sort()

@@ -192,6 +192,14 @@ def test_run_validation_rejects_wrong_expected_total():
     assert not any(r.passed for r in results)
 
 
+def test_run_validation_accepts_an_overflowing_total():
+    # Finite weights whose sum overflows: every total and the oracle's are inf.
+    overflow = graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    results = run_validation([ValidationCase("overflow", overflow, None)])
+    assert [r.algo for r in results] == ["std", "eds", "heap"]
+    assert all(r.passed for r in results)
+
+
 def test_validate_detects_injected_fault(monkeypatch, capsys):
     monkeypatch.setattr("stratmst.validation.make_cases", lambda: [_wrong_total_case()])
     assert main(["validate"]) == 1

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from stratmst import (
     write_edge_list,
 )
 from stratmst.cli import main
-from stratmst.mst import SOLVERS
+from stratmst.mst import SOLVERS, weight_close
 from stratmst.oracle import prim_dense
 from stratmst.validation import CLRS_EDGES
 
@@ -156,6 +157,16 @@ def test_mst_weight_equal_comparator():
     assert mst_weight_equal(kruskal_std(NEGATIVE), kruskal_heap(NEGATIVE))
     wrong = kruskal_std(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 3.0), (0, 2, 3.0)]))
     assert not mst_weight_equal(a, wrong)
+    # Finite weights whose total overflows: every solver and the oracle agree.
+    overflow = graph_from_edges(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    results = [run(overflow) for run in (*ALGOS, prim_dense)]
+    assert {r.total_weight for r in results} == {math.inf}
+    assert all(mst_weight_equal(results[0], r) for r in results)
+    for x in (math.inf, -math.inf):
+        assert weight_close(x, x)
+        assert not weight_close(5.0, x)
+        assert not weight_close(x, 5.0)
+        assert not weight_close(-x, x)
 
 
 def test_injected_boundaries_never_change_the_answer():
@@ -233,6 +244,9 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
     edges = results[0].edges
     assert len(built) == len(edges) == g.n - 1
     assert edges[0] == g.edges[edges[0].id]
+    # Every record, in acceptance order.
+    for res in (*results, prim_dense(g)):
+        assert res.edges == tuple(g.edges[i] for i in res.edge_ids)
 
 
 def reference_kruskal(g):

@@ -131,13 +131,13 @@ def cuts_by_every_k(m, weight_of, k, seed):
     return cuts
 
 
-@pytest.mark.parametrize("m", [2, 10, 21, 200, 5000])
+@pytest.mark.parametrize("m", [0, 2, 10, 21, 200, 5000])
 def test_estimate_cuts_matches_one_cut_per_k(m):
     rng = random.Random(m)
     # Coarse weights give duplicate sample values, so deduplication matters.
     weights = [float(rng.randrange(m // 2 + 1)) for _ in range(m)]
     s = sample_size(m)
-    for k in sorted({s - 1, s, s + 1, 10 * s} - {0}):
+    for k in sorted({1, s - 1, s, s + 1, 10 * s} - {0, -1}):
         for seed in range(3):
             want = cuts_by_every_k(m, weights.__getitem__, k, seed)
             got = estimate_cuts(m, weights.__getitem__, k, seed)
