@@ -1,19 +1,13 @@
 """Stratified minimum spanning tree toolkit.
 
-Solvers (baseline, heap, and stratified Kruskal with early termination),
-seeded graph-family generators, independent correctness oracles, and a
-benchmark harness that reports machine-independent sort-operation counts.
+The package root exports the solver API: the solvers (baseline, heap, and
+stratified Kruskal with early termination), seeded graph-family generators,
+the edge-list reader and writer, and independent correctness oracles. The
+report harness (``stratmst.bench``, ``stratmst.validation``) and the
+record-based strata adapters (``stratmst.strata``) are imported from their
+modules, so ``import stratmst`` does not load them.
 """
 
-from .bench import (
-    SuiteConfig,
-    derive_seed,
-    run_suite,
-    speedup_grid,
-    strata_profile,
-    summarize,
-    sweep_k,
-)
 from .edgelist import EdgeListError, load_edge_list, read_edge_list, write_edge_list
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import (
@@ -30,16 +24,7 @@ from .mst import (
     mst_weight_equal,
 )
 from .oracle import exhaustive_mst, prim_dense
-from .strata import (
-    Boundaries,
-    StrataParams,
-    estimate_boundaries,
-    optimal_k,
-    partition,
-    sample_size,
-    sample_weights,
-)
-from .validation import run_validation
+from .strata import Boundaries, StrataParams, optimal_k, sample_size
 
 __version__ = "0.1.0"
 
@@ -50,11 +35,8 @@ __all__ = [
     "GraphSpec",
     "MstResult",
     "StrataParams",
-    "SuiteConfig",
     "WeightDist",
     "component_count",
-    "derive_seed",
-    "estimate_boundaries",
     "exhaustive_mst",
     "gen_grid",
     "gen_path",
@@ -66,16 +48,8 @@ __all__ = [
     "load_edge_list",
     "mst_weight_equal",
     "optimal_k",
-    "partition",
     "prim_dense",
     "read_edge_list",
-    "run_suite",
-    "run_validation",
     "sample_size",
-    "sample_weights",
-    "speedup_grid",
-    "strata_profile",
-    "summarize",
-    "sweep_k",
     "write_edge_list",
 ]

@@ -56,7 +56,8 @@ def _float_list(text: str) -> list[float]:
 
 
 class CliError(Exception):
-    """Fatal command error; main() prints the message and exits nonzero."""
+    """Fatal command error; main() prints the message and exits 2, as it
+    does for a ``ValueError`` that a command's inputs raise."""
 
 
 @contextmanager
@@ -95,22 +96,19 @@ def _default_m(family: str, n: int) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        if args.family == "grid":
-            if args.rows is None or args.cols is None:
-                raise ValueError("grid family needs --rows and --cols")
-            g = gen_grid(args.rows, args.cols, WeightDist.uniform(), args.seed)
-        elif args.family == "path":
-            if args.n is None:
-                raise ValueError("path family needs --n")
-            g = gen_path(args.n, WeightDist.uniform(), args.seed)
-        else:
-            if args.n is None:
-                raise ValueError(f"{args.family} family needs --n")
-            m = args.m if args.m is not None else _default_m(args.family, args.n)
-            g = gen_random(args.n, m, RANDOM_FAMILIES[args.family], args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.family == "grid":
+        if args.rows is None or args.cols is None:
+            raise CliError("grid family needs --rows and --cols")
+        g = gen_grid(args.rows, args.cols, WeightDist.uniform(), args.seed)
+    elif args.family == "path":
+        if args.n is None:
+            raise CliError("path family needs --n")
+        g = gen_path(args.n, WeightDist.uniform(), args.seed)
+    else:
+        if args.n is None:
+            raise CliError(f"{args.family} family needs --n")
+        m = args.m if args.m is not None else _default_m(args.family, args.n)
+        g = gen_random(args.n, m, RANDOM_FAMILIES[args.family], args.seed)
     with _open_out(args.out) as stream:
         write_edge_list(g, stream)
     if args.out is not None:
@@ -136,10 +134,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        records = bench.run_suite(trials=args.trials, master_seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    records = bench.run_suite(trials=args.trials, master_seed=args.seed)
     with _open_out(args.out) as stream:
         bench.write_csv(bench.BenchRecord, records, stream)
     for s in bench.summarize(records):
@@ -161,10 +156,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_sweep_k(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    try:
-        points = bench.sweep_k(g, args.k_values, trials=args.trials, master_seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    points = bench.sweep_k(g, args.k_values, trials=args.trials, master_seed=args.seed)
     with _open_out(args.out) as stream:
         bench.write_csv(bench.SweepPoint, points, stream)
     return 0
@@ -181,10 +173,7 @@ def _write_sidecar(out: str | None, metadata: dict) -> None:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    try:
-        profile = bench.strata_profile(g, args.k, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    profile = bench.strata_profile(g, args.k, args.seed)
     with _open_out(args.out) as stream:
         bench.write_profile_csv(profile, stream)
     _write_sidecar(
@@ -196,12 +185,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    try:
-        cells = bench.speedup_grid(
-            args.density, args.skew, n=args.n, trials=args.trials, master_seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cells = bench.speedup_grid(
+        args.density, args.skew, n=args.n, trials=args.trials, master_seed=args.seed
+    )
     with _open_out(args.out) as stream:
         bench.write_csv(bench.GridCell, cells, stream)
     _write_sidecar(
@@ -279,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         rc = args.func(args)
         sys.stdout.flush()
         return rc
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -46,7 +46,7 @@ class ValidationCase:
     expected: float | None
 
 
-def make_cases(seed: int = VALIDATION_SEED) -> list[ValidationCase]:
+def make_cases() -> list[ValidationCase]:
     uniform = WeightDist.uniform()
     complete_5 = [(u, v, 1.0) for u in range(5) for v in range(u + 1, 5)]
     return [
@@ -72,11 +72,11 @@ def make_cases(seed: int = VALIDATION_SEED) -> list[ValidationCase]:
             graph_from_edges(3, [(0, 1, -5.0), (1, 2, -3.0), (0, 2, -1.0)]),
             -8.0,
         ),
-        ValidationCase("path-10", gen_path(10, uniform, seed), None),
-        ValidationCase("grid-4x4", gen_grid(4, 4, uniform, seed + 1), None),
-        ValidationCase("sparse-50", gen_random(50, 80, uniform, seed + 2), None),
-        ValidationCase("dense-50", gen_random(50, 1225, uniform, seed + 3), None),
-        ValidationCase("random-200", gen_random(200, 400, uniform, seed + 4), None),
+        ValidationCase("path-10", gen_path(10, uniform, VALIDATION_SEED), None),
+        ValidationCase("grid-4x4", gen_grid(4, 4, uniform, VALIDATION_SEED + 1), None),
+        ValidationCase("sparse-50", gen_random(50, 80, uniform, VALIDATION_SEED + 2), None),
+        ValidationCase("dense-50", gen_random(50, 1225, uniform, VALIDATION_SEED + 3), None),
+        ValidationCase("random-200", gen_random(200, 400, uniform, VALIDATION_SEED + 4), None),
         ValidationCase("equal-weights", graph_from_edges(5, complete_5), 4.0),
     ]
 

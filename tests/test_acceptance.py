@@ -25,13 +25,12 @@ from stratmst import (
     kruskal_std,
     mst_weight_equal,
     optimal_k,
-    run_suite,
-    run_validation,
     sample_size,
-    sample_weights,
 )
-from stratmst.bench import RECORD_FIELDS, BenchRecord, write_csv
+from stratmst.bench import RECORD_FIELDS, BenchRecord, run_suite, write_csv
 from stratmst.cli import main
+from stratmst.strata import sample_weights
+from stratmst.validation import run_validation
 
 REL = 1e-9
 

@@ -2,27 +2,22 @@ import io
 
 import pytest
 
-from stratmst import (
-    GraphSpec,
-    SuiteConfig,
-    WeightDist,
-    derive_seed,
-    gen_random,
-    graph_from_edges,
-    run_suite,
-    speedup_grid,
-    strata_profile,
-    summarize,
-    sweep_k,
-)
+from stratmst import GraphSpec, WeightDist, gen_random, graph_from_edges
 from stratmst.bench import (
     DEFAULT_SUITE,
     RECORD_FIELDS,
     BenchRecord,
     GridCell,
+    SuiteConfig,
     SweepPoint,
+    derive_seed,
     grid_metadata,
+    run_suite,
     skew_to_dist,
+    speedup_grid,
+    strata_profile,
+    summarize,
+    sweep_k,
     write_csv,
     write_profile_csv,
 )

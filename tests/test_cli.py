@@ -174,6 +174,33 @@ def test_closed_stdout_pipe_exits_1_quietly():
         assert proc.stderr.read() == b""
 
 
+SOLVER_API = [
+    "Boundaries", "EdgeListError", "EdgeRecord", "GraphSpec", "MstResult",
+    "StrataParams", "WeightDist", "component_count", "exhaustive_mst", "gen_grid",
+    "gen_path", "gen_random", "graph_from_edges", "kruskal_eds", "kruskal_heap",
+    "kruskal_std", "load_edge_list", "mst_weight_equal", "optimal_k", "prim_dense",
+    "read_edge_list", "sample_size", "write_edge_list",
+]
+
+
+def test_package_root_is_the_solver_api():
+    # A fresh interpreter, since this one has long since imported the harness.
+    probe = (
+        "import json, sys, stratmst\n"
+        "print(json.dumps({\n"
+        "    'loaded': sorted(m for m in ('stratmst.bench', 'stratmst.validation',\n"
+        "                                 'stratmst.cli') if m in sys.modules),\n"
+        "    'all': sorted(stratmst.__all__),\n"
+        "    'missing': [n for n in stratmst.__all__ if not hasattr(stratmst, n)],\n"
+        "}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=_cli_child_env(), timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == {"loaded": [], "all": SOLVER_API, "missing": []}
+
+
 def test_validate_all_pass(capsys):
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()

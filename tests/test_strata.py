@@ -5,17 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stratmst import (
-    Boundaries,
-    EdgeRecord,
-    StrataParams,
-    estimate_boundaries,
-    optimal_k,
-    partition,
-    sample_size,
-    sample_weights,
-)
-from stratmst.strata import estimate_cuts
+from stratmst import Boundaries, EdgeRecord, StrataParams, optimal_k, sample_size
+from stratmst.strata import estimate_boundaries, estimate_cuts, partition, sample_weights
 
 
 def edges_with_weights(weights):
