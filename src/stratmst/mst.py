@@ -3,8 +3,10 @@
 Three interchangeable solvers feed their edges, in weight order, to the
 one greedy union-find scan, ``graph.kruskal_scan``:
 
-* ``kruskal_eds``  - sample, partition into weight strata, sort strata on
-  demand, and stop the moment the spanning forest is complete.
+* ``kruskal_eds``  - sample, partition into weight strata (only the light
+  ones the forest is expected to need, unless it turns out to need more),
+  sort strata on demand, and stop the moment the spanning forest is
+  complete.
 * ``kruskal_std``  - the baseline global sort: ``kruskal_eds`` with one
   stratum.
 * ``kruskal_heap`` - O(m) heapify, then lazy pops in weight order.
@@ -20,13 +22,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from itertools import compress, repeat
+from typing import Callable, Iterator
 
 from .graph import EdgeRecord, GraphSpec, kruskal_scan
-from .strata import Boundaries, StrataParams, estimate_cuts, partition_ids
+from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
 
 WEIGHT_RTOL = 1e-9
 
@@ -37,13 +41,19 @@ class Metrics:
 
     ``sort_ops`` counts edges that passed through a sort, summed over every
     sort the run performed (for the heap solver: the number of pops). It
-    never exceeds m. Phase timings come from a monotonic clock in
+    never exceeds m. ``partition_ops`` counts the ids that phase 2
+    bucketed by binary search, over the light prefix and any fallback; it
+    never exceeds m and is 0 when nothing was partitioned (one stratum, or
+    the heap solver). Phase timings come from a monotonic clock in
     nanoseconds and are machine- and runtime-specific; nothing asserts on
-    them. ``accepted_per_stratum`` is read by the profile report;
-    ``stratmst mst --metrics`` prints every field.
+    them. ``phase2_ns`` covers every filter pass and bucketing of phase 2,
+    including a fallback run after phase 3 began; ``phase3_ns`` is the
+    sorting and scanning around it. ``accepted_per_stratum`` is read by the
+    profile report; ``stratmst mst --metrics`` prints every field.
     """
 
     sort_ops: int = 0
+    partition_ops: int = 0
     strata_processed: int = 0
     strata_total: int = 0
     phase1_ns: int = 0
@@ -142,11 +152,13 @@ def kruskal_eds(
     """Stratified Kruskal with early termination.
 
     Phase 1 estimates stratum boundaries from a small uniform edge sample.
-    Phase 2 partitions all edge ids into weight-ordered buckets by binary
-    search, with no global sort. Phase 3 sorts buckets lightest-first,
-    feeding each through union-find, and returns the moment the spanning
-    forest is complete, leaving heavier buckets unsorted. Disconnected
-    inputs run through every bucket and yield the minimum spanning forest.
+    Phase 2 buckets edge ids by weight with binary search, with no global
+    sort, and lazily: ``_phase2_buckets`` first buckets only the light
+    strata the forest is expected to need, and the rest only if it is still
+    incomplete after them. Phase 3 sorts buckets lightest-first, feeding
+    each through union-find, and returns the moment the spanning forest is
+    complete, leaving heavier buckets unsorted. Disconnected inputs run
+    through every bucket and yield the minimum spanning forest.
 
     When the resolved stratum count is 1 (explicitly, or via the automatic
     fallback on small inputs) phases 1 and 2 are skipped entirely and the
@@ -163,15 +175,11 @@ def kruskal_eds(
     k = params.resolve_k(g.m)
     weight = g.w.__getitem__
 
-    t0 = time.perf_counter_ns()
-    if boundaries is None and k == 1:
-        buckets, t1, t2 = [list(g.ids)], t0, t0
-    else:
-        if boundaries is None:
-            boundaries = estimate_cuts(g.m, weight, k, params.seed)
+    t0 = t1 = time.perf_counter_ns()
+    if boundaries is None and k > 1:
+        boundaries = estimate_cuts(g.m, weight, k, params.seed)
         t1 = time.perf_counter_ns()
-        buckets = partition_ids(g.w, g.ids, boundaries)
-        t2 = time.perf_counter_ns()
+    cuts = boundaries.values if boundaries is not None else ()
 
     parent = list(range(g.n))
     accepted: list[int] = []
@@ -179,8 +187,9 @@ def kruskal_eds(
     sort_ops = 0
     strata_processed = 0
     union_calls = 0
-    accepted_per = [0] * len(buckets)
-    for i, bucket in enumerate(buckets):
+    accepted_per = [0] * (len(cuts) + 1)
+    phase2 = [0, 0]  # ids bucketed, nanoseconds spent bucketing
+    for i, bucket in enumerate(_phase2_buckets(g, cuts, phase2)):
         strata_processed += 1
         # Weight alone gives the (weight, id) order: the sort is stable and
         # buckets hold ids in increasing order.
@@ -191,18 +200,57 @@ def kruskal_eds(
         accepted_per[i] = len(accepted) - before
         if len(accepted) == target:
             break
-    t3 = time.perf_counter_ns()
+    t2 = time.perf_counter_ns()
     metrics = Metrics(
         sort_ops=sort_ops,
+        partition_ops=phase2[0],
         strata_processed=strata_processed,
-        strata_total=len(buckets),
+        strata_total=len(accepted_per),
         phase1_ns=t1 - t0,
-        phase2_ns=t2 - t1,
-        phase3_ns=t3 - t2,
+        phase2_ns=phase2[1],
+        phase3_ns=t2 - t1 - phase2[1],
         union_calls=union_calls,
         accepted_per_stratum=tuple(accepted_per),
     )
     return MstResult(g, accepted, metrics)
+
+
+def _phase2_buckets(
+    g: GraphSpec, cuts: tuple[float, ...], work: list[int]
+) -> Iterator[list[int]]:
+    """Yield the buckets of ``partition_ids(g.w, g.ids, Boundaries(cuts))``
+    lightest-first, partitioning only as far as the consumer reads.
+
+    With ``total`` buckets, ``expected_strata`` predicts how many of the
+    lightest the forest needs; ``hi`` is twice that, rounded up. When
+    ``hi <= total // 2``, one filter pass takes the ids lighter than
+    ``cuts[hi-1]`` and buckets only them (buckets ``0..hi-1``); the
+    complement is filtered and bucketed (buckets ``hi..total-1``) only if
+    the consumer asks for bucket ``hi``. Otherwise all ids are bucketed in
+    one pass. ``work`` accumulates ``[ids bucketed, nanoseconds spent]``.
+    Comparisons go through ``operator.lt``/``ge`` on the weight, as
+    ``bisect`` does, so an int cut against float weights compares exactly.
+    """
+    total = len(cuts) + 1
+    if total == 1:
+        yield list(g.ids)
+        return
+    hi = math.ceil(2 * expected_strata(g.n, g.m, total))
+    if hi > total // 2:
+        sides = ((None, 0, total - 1),)
+    else:
+        sides = ((operator.lt, 0, hi - 1), (operator.ge, hi, total - 1))
+    for keep, lo, up in sides:
+        t0 = time.perf_counter_ns()
+        if keep is None:
+            ids, weights = g.ids, g.w
+        else:
+            ids = list(compress(g.ids, map(keep, g.w, repeat(cuts[hi - 1]))))
+            weights = map(g.w.__getitem__, ids)
+        buckets = partition_ids(weights, ids, Boundaries(cuts[lo:up]))
+        work[0] += len(ids)
+        work[1] += time.perf_counter_ns() - t0
+        yield from buckets
 
 
 # Every solver by its CLI name, called as ``solve(g, params)``. ``params``

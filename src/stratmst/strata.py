@@ -5,6 +5,9 @@ sample quantiles become bucket boundaries, and a single linear pass drops
 every edge into its weight-ordered bucket via binary search. Boundaries
 only ever need to be weight-consistent, never exact quantiles: a misplaced
 boundary changes bucket sizes, not the result of any downstream solver.
+``expected_strata`` predicts how many of the lightest strata a random
+graph's spanning forest needs, which bounds how much the solver buckets
+up front.
 """
 
 from __future__ import annotations
@@ -39,6 +42,21 @@ def optimal_k(m: int) -> int:
     if m < MIN_EDGES_FOR_STRATA:
         return 1
     return math.ceil(math.sqrt(m / math.log(m + 1)))
+
+
+def expected_strata(n: int, m: int, k: int) -> float:
+    """Strata a random graph is expected to need: ``k * min(1, n*ln(n) / (2*m))``.
+
+    A random graph on n vertices becomes connected at about ``n*ln(n)/2``
+    edges (Erdos & Renyi, 1960), and quantile strata each hold about ``m/k``
+    edges, so the spanning forest should complete within that many of the
+    lightest strata. The strata depend on weight ranks only, so the weight
+    distribution does not enter. A prediction, never a bound: it steers
+    how much phase 2 partitions up front, not which edges are accepted.
+    """
+    if n < 1 or m < 1 or k < 1:
+        raise ValueError(f"need n, m, k >= 1, got n={n}, m={m}, k={k}")
+    return k * min(1.0, n * math.log(n) / (2 * m))
 
 
 @dataclass(frozen=True)
@@ -143,10 +161,10 @@ def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> list[list[
 
 
 def partition_ids(
-    weights: Sequence[float], ids: Iterable[int], boundaries: Boundaries
+    weights: Iterable[float], ids: Iterable[int], boundaries: Boundaries
 ) -> list[list[int]]:
-    """``partition`` on columns: bucket each id by its weight, ``weights[i]``
-    belonging to the i-th id, in input order."""
+    """``partition`` on columns: bucket each id by its weight, the i-th
+    weight belonging to the i-th id, in input order."""
     cuts = boundaries.values
     buckets: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
     for i, x in zip(ids, weights):
