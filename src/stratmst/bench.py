@@ -20,12 +20,10 @@ import time
 from dataclasses import astuple, dataclass, fields
 from typing import IO, Iterable, Sequence
 
-from .generators import WeightDist, gen_grid, gen_path, gen_random
+from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
 from .mst import SOLVERS, kruskal_eds
 from .strata import StrataParams
-
-DEFAULT_MASTER_SEED = 7
 
 ALGOS = tuple(SOLVERS)
 

@@ -1,4 +1,8 @@
-"""Command-line interface: graph generation, MST solving, validation, benchmarks."""
+"""Command-line interface: graph generation, MST solving, validation, benchmarks.
+
+The report harness (``bench``, ``validation``) is imported inside the
+commands that use it, so ``stratmst mst`` and ``stratmst gen`` do not load it.
+"""
 
 from __future__ import annotations
 
@@ -10,13 +14,11 @@ import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
 
-from . import bench
 from .edgelist import EdgeListError, load_edge_list, write_edge_list
-from .generators import WeightDist, gen_grid, gen_path, gen_random
+from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
 from .mst import SOLVERS
 from .strata import StrataParams
-from .validation import run_validation
 
 RANDOM_FAMILIES = {
     "sparse": WeightDist.uniform(),
@@ -126,6 +128,8 @@ def cmd_mst(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import run_validation
+
     results = run_validation()
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -134,6 +138,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench
+
     records = bench.run_suite(trials=args.trials, master_seed=args.seed)
     with _open_out(args.out) as stream:
         bench.write_csv(bench.BenchRecord, records, stream)
@@ -155,6 +161,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_k(args: argparse.Namespace) -> int:
+    from . import bench
+
     g = _load_graph(args.input)
     points = bench.sweep_k(g, args.k_values, trials=args.trials, master_seed=args.seed)
     with _open_out(args.out) as stream:
@@ -172,6 +180,8 @@ def _write_sidecar(out: str | None, metadata: dict) -> None:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    from . import bench
+
     g = _load_graph(args.input)
     profile = bench.strata_profile(g, args.k, args.seed)
     with _open_out(args.out) as stream:
@@ -185,6 +195,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from . import bench
+
     cells = bench.speedup_grid(
         args.density, args.skew, n=args.n, trials=args.trials, master_seed=args.seed
     )
@@ -228,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run the benchmark suite and write a CSV")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=bench.DEFAULT_MASTER_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="CSV path (default: standard output)")
     p.set_defaults(func=cmd_bench)
 
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--k-values", type=_int_list, default=[2, 5, 10, 20, 50, 100, 200, 500])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=bench.DEFAULT_MASTER_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="CSV path (default: standard output)")
     p.set_defaults(func=cmd_sweep_k)
 
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=_float_list, default=[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
     p.add_argument("--skew", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=bench.DEFAULT_MASTER_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="CSV path (default: standard output)")
     p.set_defaults(func=cmd_grid)
 

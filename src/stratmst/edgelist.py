@@ -5,22 +5,36 @@ The first non-comment line is ``n m``; each of the m following lines is
 scientific notation. Lines starting with ``#`` are comments and may appear
 anywhere; blank lines are ignored.
 
+The reader takes any iterable of lines: an open text file, a ``StringIO``
+or a list of strings. A line may hold ``\\n`` only at its end, as file
+iteration guarantees; any line may lack it.
+
 Edge lines are read in chunks of ``CHUNK_LINES``. A chunk of plain, valid
 ``u v w`` lines is converted column by column in bulk; any other chunk goes
 through the line-by-line parser, which skips comments and blank lines and
-raises every line-numbered error. Both use the same ``str.split``, ``int``
-and ``float``, so they accept the same inputs.
+raises every line-numbered error. Both use the same ``int`` and ``float``,
+so they accept the same inputs. The bulk path proves a chunk plain without
+splitting each line: every line holds exactly two spaces, the chunk holds
+no other whitespace but line ends, and it splits into three fields per line.
+
+Each vertex is stored as one int object, shared by every edge that names
+it. When the header's ``n`` is at most ``CHUNK_LINES``, the reader also
+keeps every endpoint token it has converted, so a vertex spelled the same
+way again costs a dict lookup instead of an ``int`` call. With more
+vertices than that, most tokens are new, and the cache would only cost.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
 from typing import IO, Iterable, Iterator
 
 from .graph import GraphSpec
 
 CHUNK_LINES = 1 << 15
+# ASCII whitespace that ``str.split`` splits on, other than " " and "\n".
+_OTHER_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
 class EdgeListError(ValueError):
@@ -38,6 +52,40 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield no, text
 
 
+def _plain_fields(chunk: list[str]) -> list[str] | None:
+    """The fields of a chunk in which every line is exactly ``a b c``, else None.
+
+    Two spaces per line and nothing else that splits give each line at most
+    three fields; three per line in total then means exactly three on each
+    line, with no line glued to the next.
+    """
+    if set(map(str.count, chunk, repeat(" "))) != {2}:
+        return None
+    text = "".join(chunk)
+    if not text.isascii() or any(map(text.__contains__, _OTHER_SPACE)):
+        return None
+    fields = text.split()
+    return fields if len(fields) == 3 * len(chunk) else None
+
+
+def _endpoints(
+    col: list[str], n: int, vertices: dict[int, int], tokens: dict[str, int] | None
+) -> list[int]:
+    """The interned vertex of each token; ValueError if one is not a vertex."""
+    if tokens is not None:
+        try:
+            return list(map(tokens.__getitem__, col))
+        except KeyError:
+            pass
+    ints = list(map(int, col))
+    if not (0 <= min(ints) and max(ints) < n):
+        raise ValueError
+    ints = list(map(vertices.setdefault, ints, ints))
+    if tokens is not None:
+        tokens.update(zip(col, ints))
+    return ints
+
+
 def _take_bulk(
     chunk: list[str],
     n: int,
@@ -46,6 +94,7 @@ def _take_bulk(
     v: list[int],
     w: list[float],
     vertices: dict[int, int],
+    tokens: dict[str, int] | None,
 ) -> bool:
     """Append a chunk of plain ``u v w`` lines to the columns in bulk.
 
@@ -54,24 +103,22 @@ def _take_bulk(
     edge count stays within ``m``. Endpoints are stored as the one int
     object per vertex kept in ``vertices``: the columns then cost less
     memory, and the accept scan's random reads of ``u[i]`` and ``v[i]`` land
-    on n objects instead of 2m.
+    on n objects instead of 2m. ``tokens``, when given, maps each endpoint
+    token already converted to that object; it only ever holds in-range
+    vertices.
     """
-    if len(w) + len(chunk) > m or set(map(len, map(str.split, chunk))) != {3}:
+    if len(w) + len(chunk) > m or (fields := _plain_fields(chunk)) is None:
         return False
-    fields = "".join(chunk).split()
     try:
-        cu = list(map(int, fields[0::3]))
-        cv = list(map(int, fields[1::3]))
+        cu = _endpoints(fields[0::3], n, vertices, tokens)
+        cv = _endpoints(fields[1::3], n, vertices, tokens)
         cw = list(map(float, fields[2::3]))
     except ValueError:
         return False
-    if not (
-        0 <= min(cu) and max(cu) < n and 0 <= min(cv) and max(cv) < n
-        and all(map(math.isfinite, cw))
-    ):
+    if not all(map(math.isfinite, cw)):
         return False
-    u += map(vertices.setdefault, cu, cu)
-    v += map(vertices.setdefault, cv, cv)
+    u += cu
+    v += cv
     w += cw
     return True
 
@@ -85,11 +132,13 @@ def _take_lines(
     u: list[int],
     v: list[int],
     w: list[float],
+    vertices: dict[int, int],
 ) -> int:
     """Parse a chunk line by line; returns the number of its last content line.
 
     ``offset`` is the number of lines before the chunk; ``last_no`` is
-    returned unchanged when the chunk holds no content line.
+    returned unchanged when the chunk holds no content line. Endpoints are
+    interned in ``vertices``, as in the bulk path.
     """
     for no, text in _content_lines(chunk):
         last_no = offset + no
@@ -106,14 +155,19 @@ def _take_lines(
             raise EdgeListError(last_no, f"endpoints ({a}, {b}) out of range for n={n}")
         if not math.isfinite(x):
             raise EdgeListError(last_no, f"weight {parts[2]!r} is not finite")
-        u.append(a)
-        v.append(b)
+        u.append(vertices.setdefault(a, a))
+        v.append(vertices.setdefault(b, b))
         w.append(x)
     return last_no
 
 
-def read_edge_list(stream: IO[str]) -> GraphSpec:
-    """Parse an edge-list stream into a GraphSpec."""
+def read_edge_list(stream: Iterable[str]) -> GraphSpec:
+    """Parse an edge-list stream into a GraphSpec.
+
+    ``stream`` yields lines that hold ``"\\n"`` only at their end, if at all:
+    an open text file, a ``StringIO`` or a list of strings.
+    """
+    stream = iter(stream)  # so that a list, too, is read on after its header
     header = next(_content_lines(stream), None)
     if header is None:
         raise EdgeListError(0, "empty input, expected an 'n m' header")
@@ -132,12 +186,13 @@ def read_edge_list(stream: IO[str]) -> GraphSpec:
     v: list[int] = []
     w: list[float] = []
     vertices: dict[int, int] = {}
+    tokens: dict[str, int] | None = {} if n <= CHUNK_LINES else None
     no = last_no
     while chunk := list(islice(stream, CHUNK_LINES)):
-        if _take_bulk(chunk, n, m, u, v, w, vertices):
+        if _take_bulk(chunk, n, m, u, v, w, vertices, tokens):
             last_no = no + len(chunk)
         else:
-            last_no = _take_lines(chunk, no, last_no, n, m, u, v, w)
+            last_no = _take_lines(chunk, no, last_no, n, m, u, v, w, vertices)
         no += len(chunk)
     if len(w) != m:
         raise EdgeListError(last_no, f"expected {m} edges, found only {len(w)}")

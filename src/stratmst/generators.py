@@ -9,6 +9,10 @@ from .graph import GraphSpec
 
 # Clustered noise must never flip a weight's sign.
 CLUSTER_WEIGHT_FLOOR = 0.001
+# The report harness (``stratmst.bench``) derives every graph's seed from
+# this master seed by default; it lives here so that the CLI can show it as
+# a default without importing the harness.
+DEFAULT_MASTER_SEED = 7
 
 
 @dataclass(frozen=True)

@@ -201,6 +201,30 @@ def test_package_root_is_the_solver_api():
     assert json.loads(proc.stdout) == {"loaded": [], "all": SOLVER_API, "missing": []}
 
 
+def test_cli_mst_leaves_the_report_harness_unloaded(clrs_file):
+    # The CLI counterpart of the test above: neither importing the CLI nor
+    # running ``mst`` loads the report harness.
+    probe = (
+        "import sys, stratmst.cli\n"
+        "harness = ('stratmst.bench', 'stratmst.validation')\n"
+        "print(sorted(m for m in harness if m in sys.modules))\n"
+        "rc = stratmst.cli.main(sys.argv[1:])\n"
+        "print(rc, sorted(m for m in harness if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "mst", "--input", str(clrs_file)],
+        capture_output=True, text=True, env=_cli_child_env(), timeout=60, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "37.0000 8", "0 []"]
+
+
+def test_report_commands_default_to_master_seed_7():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert bench.DEFAULT_MASTER_SEED == 7
+    for name in ("bench", "sweep-k", "grid"):
+        assert commands[name].get_default("seed") == 7
+
+
 def test_validate_all_pass(capsys):
     assert main(["validate"]) == 0
     lines = capsys.readouterr().out.splitlines()
