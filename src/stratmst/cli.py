@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from typing import IO, Iterator
 
@@ -118,12 +119,29 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _peak_rss_kb() -> int | None:
+    """This process's peak resident set size in KiB, or None where the
+    ``resource`` module does not exist (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak  # macOS counts bytes
+
+
 def cmd_mst(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter_ns()
     g = _load_graph(args.input)
+    load_ns = time.perf_counter_ns() - t0
     res = SOLVERS[args.algo](g, StrataParams(k=args.k, seed=args.seed))
     print(f"{res.total_weight:.4f} {res.accepted_count}")
     if args.metrics:
-        print(json.dumps(dataclasses.asdict(res.metrics)), file=sys.stderr)
+        payload = dataclasses.asdict(res.metrics)
+        payload["load_ns"] = load_ns
+        if (peak := _peak_rss_kb()) is not None:
+            payload["peak_rss_kb"] = peak
+        print(json.dumps(payload), file=sys.stderr)
     return 0
 
 

@@ -165,8 +165,11 @@ def kruskal_scan(
 ) -> int:
     """Greedy Kruskal scan: the one union-find every solver shares.
 
-    ``parent`` is the forest over ``0..n-1``, created as ``list(range(n))``
-    and carried between calls. Each edge id in ``ordered_ids`` joins the
+    ``parent`` is the forest over ``0..n-1``, created with ``parent[x] == x``
+    for every vertex and carried between calls. The scan compares and
+    stores vertices by value only, never by identity, so the forest may
+    start from any int objects with those values; the solvers borrow the
+    graph's edge-id ints. Each edge id in ``ordered_ids`` joins the
     trees of its endpoints (path halving; the larger root index becomes the
     parent, so a find costs amortized O(log n), Tarjan & van Leeuwen 1984);
     ids that join two trees are appended to ``accepted``, and the scan

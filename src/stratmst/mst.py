@@ -125,7 +125,7 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     t1 = time.perf_counter_ns()
     accepted: list[int] = []
     pops = kruskal_scan(
-        list(range(g.n)),
+        _forest(g),
         g,
         (heapq.heappop(heap)[1] for _ in range(g.m)),
         accepted,
@@ -181,7 +181,7 @@ def kruskal_eds(
         t1 = time.perf_counter_ns()
     cuts = boundaries.values if boundaries is not None else ()
 
-    parent = list(range(g.n))
+    parent = _forest(g)
     accepted: list[int] = []
     target = g.n - 1
     sort_ops = 0
@@ -213,6 +213,17 @@ def kruskal_eds(
         accepted_per_stratum=tuple(accepted_per),
     )
     return MstResult(g, accepted, metrics)
+
+
+def _forest(g: GraphSpec) -> list[int]:
+    """A fresh union-find forest over ``0..n-1``, each vertex its own root.
+
+    Its values equal ``list(range(g.n))``, but the first ``min(n, m)`` are
+    the int objects of ``g.ids``, which the solvers build anyway: the forest
+    then creates at most ``n - m`` new ints, and the scan's random reads land
+    on fewer distinct objects.
+    """
+    return [*g.ids[: g.n], *range(g.m, g.n)]
 
 
 def _phase2_buckets(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from importlib.util import find_spec
 
 import pytest
 
@@ -89,8 +90,15 @@ def test_mst_metrics_json(clrs_file, capsys):
                  "--input", str(clrs_file)]) == 0
     err = capsys.readouterr().err
     payload = json.loads(err)
-    assert set(payload) == {f.name for f in fields(Metrics)}
+    # Peak RSS comes from the resource module, which Windows lacks.
+    cli_fields = {"load_ns"} | ({"peak_rss_kb"} if find_spec("resource") else set())
+    assert set(payload) == {f.name for f in fields(Metrics)} | cli_fields
     assert payload["sort_ops"] <= 14
+    for name in cli_fields:
+        assert type(payload[name]) is int and payload[name] > 0
+    # Without --metrics, nothing goes to standard error.
+    assert main(["mst", "--algo", "eds", "--k", "4", "--input", str(clrs_file)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Differential test: the chunked parser against the line-by-line reference."""
 
 import io
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -23,13 +24,15 @@ ODD_WEIGHTS = ("nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-0.0", "5e-324
 
 @contextmanager
 def chunk_lines(size):
-    saved = edgelist.CHUNK_LINES
+    """Read ``size`` lines a chunk, with the token cache on for n <= ``size``;
+    None keeps both defaults."""
+    saved = edgelist.CHUNK_LINES, edgelist.TOKEN_CACHE_MAX_N
     if size is not None:
-        edgelist.CHUNK_LINES = size
+        edgelist.CHUNK_LINES = edgelist.TOKEN_CACHE_MAX_N = size
     try:
         yield
     finally:
-        edgelist.CHUNK_LINES = saved
+        edgelist.CHUNK_LINES, edgelist.TOKEN_CACHE_MAX_N = saved
 
 
 def parse(reader, lines):
@@ -90,8 +93,8 @@ def edge_list_texts(draw, n_range=(0, 6)):
     return text
 
 
-# The token cache is on when the header's n is at most CHUNK_LINES: chunk 1
-# runs the bulk path without it, 2 and the default with it, 3 either way.
+# chunk_lines(c) turns the token cache on for n <= c: chunk 1 runs the bulk
+# path without it, 2 and the default with it, 3 either way.
 @pytest.mark.parametrize("chunk, n_range", [
     pytest.param(1, (2, 7), id="1"),
     pytest.param(2, (0, 2), id="2"),
@@ -136,7 +139,7 @@ def test_bulk_path_proves_three_fields_per_line(lines):
 
 
 @pytest.mark.parametrize("chunk, filler", [
-    pytest.param(8, "", id="bulk"),  # n > CHUNK_LINES: no token cache
+    pytest.param(8, "", id="bulk"),  # n > TOKEN_CACHE_MAX_N: no token cache
     pytest.param(None, "", id="token-cache"),
     pytest.param(None, "# note\n", id="line-parser"),  # a comment in the chunk
 ])
@@ -165,3 +168,23 @@ def test_generated_file_round_trips_across_chunk_sizes(chunk):
         lines[900] = "0 1 nan\n"
         with pytest.raises(EdgeListError, match="line 901: weight 'nan' is not finite"):
             read_edge_list(io.StringIO("".join(lines)))
+
+
+def test_parse_transient_memory_is_bounded_by_the_chunk():
+    # Peak minus retained: the chunk's lines, joined text and fields, which
+    # are dropped before the next chunk is read. n is fixed, so only m grows.
+    transient = []
+    for m in (20_000, 80_000):
+        buf = io.StringIO()
+        write_edge_list(gen_random(2000, m, WeightDist.uniform(), seed=4), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        tracemalloc.start()
+        try:
+            g = read_edge_list(lines)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == m
+        transient.append(peak - retained)
+    assert max(transient) < 400 * edgelist.CHUNK_LINES
+    assert transient[1] - transient[0] < 500_000  # flat as m grows

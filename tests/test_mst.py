@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from stratmst import (
     mst_weight_equal,
     write_edge_list,
 )
+from stratmst import mst
 from stratmst.cli import main
 from stratmst.mst import SOLVERS, weight_close
 from stratmst.oracle import prim_dense
@@ -247,6 +249,24 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
     # Every record, in acceptance order.
     for res in (*results, prim_dense(g)):
         assert res.edges == tuple(g.edges[i] for i in res.edge_ids)
+
+
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_solver_forest_borrows_the_edge_id_ints(monkeypatch, name):
+    # A path has n = m + 1, so every vertex but the last has an edge id of its
+    # value; ids above 256 are ints that CPython does not share anyway.
+    g = gen_path(700, WeightDist.uniform(), seed=3)
+    scan = mst.kruskal_scan
+    forests = []
+
+    def spy(parent, *args):
+        forests.append(list(parent))  # the same int objects, before any link
+        return scan(parent, *args)
+
+    monkeypatch.setattr(mst, "kruskal_scan", spy)
+    assert SOLVERS[name](g, StrataParams(seed=1)).accepted_count == g.n - 1
+    assert forests[0] == list(range(g.n))
+    assert all(map(operator.is_, forests[0], g.ids))
 
 
 def reference_kruskal(g):
