@@ -22,11 +22,18 @@ transient memory: about 1 MB at 4,096 lines of ``u v w`` (tracemalloc).
 Larger chunks only raise the peak; the parse is no faster with them.
 
 Each vertex is stored as one int object, shared by every edge that names
-it. When the header's ``n`` is at most ``TOKEN_CACHE_MAX_N``, the reader
-also keeps every endpoint token it has converted, so a vertex spelled the
-same way again costs a dict lookup instead of an ``int`` call. The gate
-reads ``n`` alone and does not follow the chunk size: with more vertices
-than that, most tokens are new, and the cache would only cost.
+it. The reader keeps those objects in a dict, about 50 bytes per vertex
+seen, until the edges read prove ``2 * edges >= n``. From then on it keeps
+them in an n-slot list, 8 bytes per header vertex, which starts from the
+dict's objects. A path of 200k vertices thus never grows the dict past
+100k entries, and a header whose edges cannot cover its ``n``, such as
+``2000000 1``, keeps the dict: either way, interning costs memory bounded
+by the edges read. When the header's ``n`` is at most
+``TOKEN_CACHE_MAX_N``, the reader also keeps every endpoint token it has
+converted, so a vertex spelled the same way again costs a dict lookup
+instead of an ``int`` call. The gate reads ``n`` alone and does not follow
+the chunk size: with more vertices than that, most tokens are new, and the
+cache would only cost.
 """
 
 from __future__ import annotations
@@ -74,8 +81,15 @@ def _plain_fields(chunk: list[str]) -> list[str] | None:
     return fields if len(fields) == 3 * len(chunk) else None
 
 
+def _intern(vertices: dict[int, int] | list[int], ints: list[int]) -> list[int]:
+    """The one int object kept per vertex, for each of ``ints``; all are in range."""
+    if type(vertices) is list:
+        return list(map(vertices.__getitem__, ints))
+    return list(map(vertices.setdefault, ints, ints))
+
+
 def _endpoints(
-    col: list[str], n: int, vertices: dict[int, int], tokens: dict[str, int] | None
+    col: list[str], n: int, vertices: dict[int, int] | list[int], tokens: dict[str, int] | None
 ) -> list[int]:
     """The interned vertex of each token; ValueError if one is not a vertex."""
     if tokens is not None:
@@ -86,7 +100,7 @@ def _endpoints(
     ints = list(map(int, col))
     if not (0 <= min(ints) and max(ints) < n):
         raise ValueError
-    ints = list(map(vertices.setdefault, ints, ints))
+    ints = _intern(vertices, ints)
     if tokens is not None:
         tokens.update(zip(col, ints))
     return ints
@@ -99,7 +113,7 @@ def _take_bulk(
     u: list[int],
     v: list[int],
     w: list[float],
-    vertices: dict[int, int],
+    vertices: dict[int, int] | list[int],
     tokens: dict[str, int] | None,
 ) -> bool:
     """Append a chunk of plain ``u v w`` lines to the columns in bulk.
@@ -107,11 +121,11 @@ def _take_bulk(
     Returns False, appending nothing, unless every line has exactly three
     fields that convert, endpoints are in range, weights are finite and the
     edge count stays within ``m``. Endpoints are stored as the one int
-    object per vertex kept in ``vertices``: the columns then cost less
-    memory, and the accept scan's random reads of ``u[i]`` and ``v[i]`` land
-    on n objects instead of 2m. ``tokens``, when given, maps each endpoint
-    token already converted to that object; it only ever holds in-range
-    vertices.
+    object per vertex kept in ``vertices`` (see ``_intern``): the columns
+    then cost less memory, and the accept scan's random reads of ``u[i]``
+    and ``v[i]`` land on n objects instead of 2m. ``tokens``, when given,
+    maps each endpoint token already converted to that object; it only ever
+    holds in-range vertices.
     """
     if len(w) + len(chunk) > m or (fields := _plain_fields(chunk)) is None:
         return False
@@ -138,7 +152,7 @@ def _take_lines(
     u: list[int],
     v: list[int],
     w: list[float],
-    vertices: dict[int, int],
+    vertices: dict[int, int] | list[int],
 ) -> int:
     """Parse a chunk line by line; returns the number of its last content line.
 
@@ -161,8 +175,9 @@ def _take_lines(
             raise EdgeListError(last_no, f"endpoints ({a}, {b}) out of range for n={n}")
         if not math.isfinite(x):
             raise EdgeListError(last_no, f"weight {parts[2]!r} is not finite")
-        u.append(vertices.setdefault(a, a))
-        v.append(vertices.setdefault(b, b))
+        a, b = _intern(vertices, [a, b])
+        u.append(a)
+        v.append(b)
         w.append(x)
     return last_no
 
@@ -191,10 +206,15 @@ def read_edge_list(stream: Iterable[str]) -> GraphSpec:
     u: list[int] = []
     v: list[int] = []
     w: list[float] = []
-    vertices: dict[int, int] = {}
+    vertices: dict[int, int] | list[int] = {}
     tokens: dict[str, int] | None = {} if n <= TOKEN_CACHE_MAX_N else None
     no = last_no
     while chunk := list(islice(stream, CHUNK_LINES)):
+        if type(vertices) is dict and 2 * len(w) >= n:
+            # The edges read can now touch every vertex: an n-slot list is
+            # smaller than the dict would grow. It keeps the objects already
+            # handed out and takes a fresh int for each vertex not yet seen.
+            vertices = list(map(vertices.get, range(n), range(n)))
         if _take_bulk(chunk, n, m, u, v, w, vertices, tokens):
             last_no = no + len(chunk)
         else:

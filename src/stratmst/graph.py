@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -138,11 +137,6 @@ class GraphSpec:
     def edges(self) -> EdgeView:
         return EdgeView(self.u, self.v, self.w)
 
-    @cached_property
-    def ids(self) -> tuple[int, ...]:
-        """Edge ids ``0..m-1``, built once so repeated solves share the ints."""
-        return tuple(range(self.m))
-
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> GraphSpec:
     """Build a GraphSpec from (u, v, weight) triples, assigning ids by position."""
@@ -165,28 +159,33 @@ def kruskal_scan(
 ) -> int:
     """Greedy Kruskal scan: the one union-find every solver shares.
 
-    ``parent`` is the forest over ``0..n-1``, created with ``parent[x] == x``
-    for every vertex and carried between calls. The scan compares and
-    stores vertices by value only, never by identity, so the forest may
-    start from any int objects with those values; the solvers borrow the
-    graph's edge-id ints. Each edge id in ``ordered_ids`` joins the
-    trees of its endpoints (path halving; the larger root index becomes the
-    parent, so a find costs amortized O(log n), Tarjan & van Leeuwen 1984);
-    ids that join two trees are appended to ``accepted``, and the scan
-    stops as soon as ``accepted`` holds ``target`` ids. Endpoints are not
-    range-checked: ``GraphSpec`` already did that. Returns the number of
-    ids scanned.
+    ``parent`` is the forest over ``0..n-1``, carried between calls: a
+    negative entry marks a root, any other entry is the vertex's parent. A
+    fresh forest is ``[-1] * n``, which makes no int object per vertex; the
+    parents a union stores are the graph's own endpoint ints. Each edge id
+    in ``ordered_ids`` joins the trees of its endpoints (path halving; the
+    larger root index becomes the parent, so a find costs amortized
+    O(log n), Tarjan & van Leeuwen 1984); ids that join two trees are
+    appended to ``accepted``, and the scan stops as soon as ``accepted``
+    holds ``target`` ids. Endpoints are not range-checked: ``GraphSpec``
+    already did that. Returns the number of ids scanned.
     """
     u, v = g.u, g.v
     scanned = 0
     for i in ordered_ids:
         scanned += 1
         a = u[i]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
+        while (p := parent[a]) >= 0:
+            if (q := parent[p]) < 0:
+                a = p
+                break
+            parent[a] = a = q
         b = v[i]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+        while (p := parent[b]) >= 0:
+            if (q := parent[p]) < 0:
+                b = p
+                break
+            parent[b] = b = q
         if a == b:
             continue
         if a < b:
@@ -201,5 +200,5 @@ def kruskal_scan(
 def component_count(g: GraphSpec) -> int:
     """Number of connected components: n minus the edges of a spanning forest."""
     accepted: list[int] = []
-    kruskal_scan(list(range(g.n)), g, range(g.m), accepted, g.n - 1)
+    kruskal_scan([-1] * g.n, g, range(g.m), accepted, g.n - 1)
     return g.n - len(accepted)

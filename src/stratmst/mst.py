@@ -44,12 +44,15 @@ class Metrics:
     never exceeds m. ``partition_ops`` counts the ids that phase 2
     bucketed by binary search, over the light prefix and any fallback; it
     never exceeds m and is 0 when nothing was partitioned (one stratum, or
-    the heap solver). Phase timings come from a monotonic clock in
-    nanoseconds and are machine- and runtime-specific; nothing asserts on
-    them. ``phase2_ns`` covers every filter pass and bucketing of phase 2,
-    including a fallback run after phase 3 began; ``phase3_ns`` is the
-    sorting and scanning around it. ``accepted_per_stratum`` is read by the
-    profile report; ``stratmst mst --metrics`` prints every field.
+    the heap solver). Timings come from a monotonic clock in nanoseconds
+    and are machine- and runtime-specific; nothing asserts on them.
+    ``phase2_ns`` covers every filter pass and bucketing of phase 2,
+    including a fallback run after phase 3 began. Phase 3 is split in two,
+    each summed over the buckets processed: ``sort_ns`` sorts the buckets
+    and ``scan_ns`` feeds them through union-find. For the heap solver,
+    ``sort_ns`` is the heapify and ``scan_ns`` the pops with the scan they
+    feed, which interleave. ``accepted_per_stratum`` is read by the profile
+    report; ``stratmst mst --metrics`` prints every field.
     """
 
     sort_ops: int = 0
@@ -58,7 +61,8 @@ class Metrics:
     strata_total: int = 0
     phase1_ns: int = 0
     phase2_ns: int = 0
-    phase3_ns: int = 0
+    sort_ns: int = 0
+    scan_ns: int = 0
     union_calls: int = 0
     accepted_per_stratum: tuple[int, ...] = ()
 
@@ -120,12 +124,12 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     if g.n <= 1 or g.m == 0:
         return MstResult(g, (), Metrics())
     t0 = time.perf_counter_ns()
-    heap = list(zip(g.w, g.ids))
+    heap = list(zip(g.w, range(g.m)))
     heapq.heapify(heap)
     t1 = time.perf_counter_ns()
     accepted: list[int] = []
     pops = kruskal_scan(
-        _forest(g),
+        [-1] * g.n,
         g,
         (heapq.heappop(heap)[1] for _ in range(g.m)),
         accepted,
@@ -136,8 +140,8 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
         sort_ops=pops,
         strata_processed=1,
         strata_total=1,
-        phase2_ns=t1 - t0,
-        phase3_ns=t2 - t1,
+        sort_ns=t1 - t0,
+        scan_ns=t2 - t1,
         union_calls=pops,
         accepted_per_stratum=(len(accepted),),
     )
@@ -181,26 +185,30 @@ def kruskal_eds(
         t1 = time.perf_counter_ns()
     cuts = boundaries.values if boundaries is not None else ()
 
-    parent = _forest(g)
+    parent = [-1] * g.n
     accepted: list[int] = []
     target = g.n - 1
     sort_ops = 0
     strata_processed = 0
     union_calls = 0
+    sort_ns = scan_ns = 0
     accepted_per = [0] * (len(cuts) + 1)
     phase2 = [0, 0]  # ids bucketed, nanoseconds spent bucketing
     for i, bucket in enumerate(_phase2_buckets(g, cuts, phase2)):
         strata_processed += 1
+        t2 = time.perf_counter_ns()
         # Weight alone gives the (weight, id) order: the sort is stable and
         # buckets hold ids in increasing order.
         bucket.sort(key=weight)
+        t3 = time.perf_counter_ns()
         sort_ops += len(bucket)
         before = len(accepted)
         union_calls += kruskal_scan(parent, g, bucket, accepted, target)
         accepted_per[i] = len(accepted) - before
+        sort_ns += t3 - t2
+        scan_ns += time.perf_counter_ns() - t3
         if len(accepted) == target:
             break
-    t2 = time.perf_counter_ns()
     metrics = Metrics(
         sort_ops=sort_ops,
         partition_ops=phase2[0],
@@ -208,28 +216,18 @@ def kruskal_eds(
         strata_total=len(accepted_per),
         phase1_ns=t1 - t0,
         phase2_ns=phase2[1],
-        phase3_ns=t2 - t1 - phase2[1],
+        sort_ns=sort_ns,
+        scan_ns=scan_ns,
         union_calls=union_calls,
         accepted_per_stratum=tuple(accepted_per),
     )
     return MstResult(g, accepted, metrics)
 
 
-def _forest(g: GraphSpec) -> list[int]:
-    """A fresh union-find forest over ``0..n-1``, each vertex its own root.
-
-    Its values equal ``list(range(g.n))``, but the first ``min(n, m)`` are
-    the int objects of ``g.ids``, which the solvers build anyway: the forest
-    then creates at most ``n - m`` new ints, and the scan's random reads land
-    on fewer distinct objects.
-    """
-    return [*g.ids[: g.n], *range(g.m, g.n)]
-
-
 def _phase2_buckets(
     g: GraphSpec, cuts: tuple[float, ...], work: list[int]
 ) -> Iterator[list[int]]:
-    """Yield the buckets of ``partition_ids(g.w, g.ids, Boundaries(cuts))``
+    """Yield the buckets of ``partition_ids(g.w, range(g.m), Boundaries(cuts))``
     lightest-first, partitioning only as far as the consumer reads.
 
     With ``total`` buckets, ``expected_strata`` predicts how many of the
@@ -241,10 +239,12 @@ def _phase2_buckets(
     one pass. ``work`` accumulates ``[ids bucketed, nanoseconds spent]``.
     Comparisons go through ``operator.lt``/``ge`` on the weight, as
     ``bisect`` does, so an int cut against float weights compares exactly.
+    Edge ids come from ``range(g.m)``: only the ids a bucket keeps stay
+    alive as int objects, and the graph holds no id per edge.
     """
     total = len(cuts) + 1
     if total == 1:
-        yield list(g.ids)
+        yield list(range(g.m))
         return
     hi = math.ceil(2 * expected_strata(g.n, g.m, total))
     if hi > total // 2:
@@ -254,9 +254,9 @@ def _phase2_buckets(
     for keep, lo, up in sides:
         t0 = time.perf_counter_ns()
         if keep is None:
-            ids, weights = g.ids, g.w
+            ids, weights = range(g.m), g.w
         else:
-            ids = list(compress(g.ids, map(keep, g.w, repeat(cuts[hi - 1]))))
+            ids = list(compress(range(g.m), map(keep, g.w, repeat(cuts[hi - 1]))))
             weights = map(g.w.__getitem__, ids)
         buckets = partition_ids(weights, ids, Boundaries(cuts[lo:up]))
         work[0] += len(ids)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import IO, Iterable, Iterator
+import tracemalloc
+from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 from stratmst import (
     EdgeListError,
@@ -14,6 +15,8 @@ from stratmst import (
     gen_random,
     graph_from_edges,
 )
+
+T = TypeVar("T")
 
 DISTS = (
     WeightDist.uniform(),
@@ -94,3 +97,15 @@ def reference_read_edge_list(stream: IO[str]) -> GraphSpec:
     if len(edges) != m:
         raise EdgeListError(last_no, f"expected {m} edges, found only {len(edges)}")
     return GraphSpec(n, tuple(edges))
+
+
+def traced_memory(call: Callable[[], T]) -> tuple[T, int, int]:
+    """``call()``'s result, and the bytes that ``tracemalloc`` saw it keep
+    and at its peak."""
+    tracemalloc.start()
+    try:
+        result = call()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak

@@ -1,15 +1,21 @@
 """Differential test: the chunked parser against the line-by-line reference."""
 
 import io
-import tracemalloc
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_read_edge_list
-from stratmst import EdgeListError, edgelist, gen_random, read_edge_list, write_edge_list
+from helpers import reference_read_edge_list, traced_memory
+from stratmst import (
+    EdgeListError,
+    edgelist,
+    gen_path,
+    gen_random,
+    read_edge_list,
+    write_edge_list,
+)
 from stratmst.generators import WeightDist
 
 # Field separators. All but the single space are whitespace that str.split
@@ -94,7 +100,9 @@ def edge_list_texts(draw, n_range=(0, 6)):
 
 
 # chunk_lines(c) turns the token cache on for n <= c: chunk 1 runs the bulk
-# path without it, 2 and the default with it, 3 either way.
+# path without it, 2 and the default with it, 3 either way. Chunks 1-3 also
+# swap the vertex dict for a list mid-file whenever 2 * edges >= n before
+# the last chunk.
 @pytest.mark.parametrize("chunk, n_range", [
     pytest.param(1, (2, 7), id="1"),
     pytest.param(2, (0, 2), id="2"),
@@ -138,16 +146,25 @@ def test_bulk_path_proves_three_fields_per_line(lines):
     assert parse(read_edge_list, iter(lines)) == want
 
 
-@pytest.mark.parametrize("chunk, filler", [
-    pytest.param(8, "", id="bulk"),  # n > TOKEN_CACHE_MAX_N: no token cache
-    pytest.param(None, "", id="token-cache"),
-    pytest.param(None, "# note\n", id="line-parser"),  # a comment in the chunk
+# n = 400 swaps the vertex dict for a list once 200 of the 1,000 edges are
+# read, which is mid-file unless the file is one chunk; n = 4,000 keeps it.
+@pytest.mark.parametrize("chunk, filler, n", [
+    pytest.param(8, "", 4000, id="bulk"),  # n > TOKEN_CACHE_MAX_N: no token cache
+    pytest.param(8, "", 400, id="bulk-switch"),
+    pytest.param(None, "", 4000, id="token-cache"),
+    pytest.param(400, "", 400, id="token-cache-switch"),
+    pytest.param(None, "# note\n", 4000, id="line-parser"),  # a comment in the chunk
+    pytest.param(8, "# note\n", 400, id="line-parser-switch"),  # both parsers
 ])
-def test_each_vertex_is_one_int_object(chunk, filler):
-    # Vertices above 256, since CPython shares the small ints anyway; each
-    # vertex appears in both columns and in several chunks.
-    edges = [(300 + i % 5, 300 + (i * 3) % 7, float(i)) for i in range(40)]
-    text = "400 40\n" + filler + "".join(f"{a} {b} {x!r}\n" for a, b, x in edges)
+def test_each_vertex_is_one_int_object(chunk, filler, n):
+    # Vertices above 256, since CPython shares the small ints anyway. Each
+    # vertex appears in both columns and in several chunks; the five low
+    # ones on both sides of the switch, the others mostly after it.
+    edges = [(300 + i % 5, 300 + i // 10, float(i)) for i in range(1000)]
+    text = f"{n} 1000\n" + "".join(
+        (filler if i % 100 == 50 else "") + f"{a} {b} {x!r}\n"
+        for i, (a, b, x) in enumerate(edges)
+    )
     with chunk_lines(chunk):
         g = read_edge_list(io.StringIO(text))
     assert list(zip(g.u, g.v, g.w)) == edges
@@ -155,6 +172,8 @@ def test_each_vertex_is_one_int_object(chunk, filler):
     assert len({id(x) for x in ends}) == len(set(ends))  # equal means identical
 
 
+# n = 300 swaps the vertex dict for a list after 150 of the 1,000 edges:
+# mid-file at every chunk size here but the default.
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 def test_generated_file_round_trips_across_chunk_sizes(chunk):
     g = gen_random(300, 1000, WeightDist.pareto(), seed=5)
@@ -178,13 +197,32 @@ def test_parse_transient_memory_is_bounded_by_the_chunk():
         buf = io.StringIO()
         write_edge_list(gen_random(2000, m, WeightDist.uniform(), seed=4), buf)
         lines = buf.getvalue().splitlines(keepends=True)
-        tracemalloc.start()
-        try:
-            g = read_edge_list(lines)
-            retained, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        g, retained, peak = traced_memory(lambda: read_edge_list(lines))
         assert g.m == m
         transient.append(peak - retained)
     assert max(transient) < 400 * edgelist.CHUNK_LINES
     assert transient[1] - transient[0] < 500_000  # flat as m grows
+
+
+def test_huge_header_parses_in_memory_bounded_by_the_edges():
+    # One edge cannot cover 10**9 vertices, so the vertex dict is kept; an
+    # n-slot list would need 8 GB.
+    g, _, peak = traced_memory(
+        lambda: read_edge_list(["1000000000 1\n", "0 999999999 1.5\n"])
+    )
+    assert (g.n, g.u, g.v, g.w) == (10**9, [0], [999_999_999], [1.5])
+    assert peak < 1_000_000
+
+
+def test_path_parse_never_grows_a_dict_of_every_vertex():
+    # Past the token cache's gate, with n = m + 1: the vertex dict gives way
+    # to a list at half the edges. A dict of all 65,536 vertices made the
+    # parse's transient (peak minus retained) 3.6 MB under tracemalloc;
+    # the switch leaves the chunk's own transient and the list.
+    n = 2 * edgelist.TOKEN_CACHE_MAX_N
+    buf = io.StringIO()
+    write_edge_list(gen_path(n, WeightDist.uniform(), seed=1), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    g, retained, peak = traced_memory(lambda: read_edge_list(lines))
+    assert g.m == n - 1
+    assert peak - retained < 2_500_000

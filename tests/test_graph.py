@@ -118,7 +118,6 @@ def test_records_and_columns_build_equal_graphs():
     assert (g.u, g.v, g.w) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
     assert g != GraphSpec.from_columns(4, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
     assert g.m == 3
-    assert g.ids == (0, 1, 2)
 
 
 def test_edges_view_builds_records_on_access():
