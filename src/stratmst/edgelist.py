@@ -13,11 +13,16 @@ Edge lines are read in chunks of ``CHUNK_LINES``. A chunk of plain, valid
 ``u v w`` lines is converted column by column in bulk; any other chunk goes
 through the line-by-line parser, which skips comments and blank lines and
 raises every line-numbered error. Both use the same ``int`` and ``float``,
-so they accept the same inputs. The bulk path proves a chunk plain without
-splitting each line: every line holds exactly two spaces, the chunk holds
-no other whitespace but line ends, and it splits into three fields per line.
-A chunk's lines, their joined text and its fields are dropped before the
-next chunk is read, so the chunk size, not the edge count, sets the parse's
+so they accept the same inputs. The bulk path needs only that every line
+holds exactly two spaces: joined with ``" "`` and split on ``" "``, the
+chunk gives three fields per line, and no line runs into the next. A field
+may keep whitespace at its ends, such as a tab or ``"\\r\\n"``. ``int`` and
+``float`` strip only characters that ``str.split`` splits on and accept
+none inside a number, so a chunk that converts holds what the line parser
+reads; any other chunk, one with ``"\\x1c"``-``"\\x1f"`` (split on, never
+stripped) included, fails to convert and goes to the line parser. A chunk's
+lines, their joined text and its fields are dropped before the next chunk
+is read, so the chunk size, not the edge count, sets the parse's
 transient memory: about 1 MB at 4,096 lines of ``u v w`` (tracemalloc).
 Larger chunks only raise the peak; the parse is no faster with them.
 
@@ -46,8 +51,6 @@ from .graph import GraphSpec
 
 CHUNK_LINES = 1 << 12
 TOKEN_CACHE_MAX_N = 1 << 15
-# ASCII whitespace that ``str.split`` splits on, other than " " and "\n".
-_OTHER_SPACE = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"
 
 
 class EdgeListError(ValueError):
@@ -66,19 +69,11 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 def _plain_fields(chunk: list[str]) -> list[str] | None:
-    """The fields of a chunk in which every line is exactly ``a b c``, else None.
-
-    Two spaces per line and nothing else that splits give each line at most
-    three fields; three per line in total then means exactly three on each
-    line, with no line glued to the next.
-    """
+    """Three fields per line of a chunk whose lines all hold exactly two
+    spaces, split on ``" "`` alone; else None."""
     if set(map(str.count, chunk, repeat(" "))) != {2}:
         return None
-    text = "".join(chunk)
-    if not text.isascii() or any(map(text.__contains__, _OTHER_SPACE)):
-        return None
-    fields = text.split()
-    return fields if len(fields) == 3 * len(chunk) else None
+    return " ".join(chunk).split(" ")
 
 
 def _intern(vertices: dict[int, int] | list[int], ints: list[int]) -> list[int]:
@@ -118,13 +113,13 @@ def _take_bulk(
 ) -> bool:
     """Append a chunk of plain ``u v w`` lines to the columns in bulk.
 
-    Returns False, appending nothing, unless every line has exactly three
-    fields that convert, endpoints are in range, weights are finite and the
-    edge count stays within ``m``. Endpoints are stored as the one int
-    object per vertex kept in ``vertices`` (see ``_intern``): the columns
-    then cost less memory, and the accept scan's random reads of ``u[i]``
-    and ``v[i]`` land on n objects instead of 2m. ``tokens``, when given,
-    maps each endpoint token already converted to that object; it only ever
+    Returns False, appending nothing, unless every line's three fields
+    convert, endpoints are in range, weights are finite and the edge count
+    stays within ``m``. Endpoints are stored as the one int object per
+    vertex kept in ``vertices`` (see ``_intern``): the columns then cost
+    less memory, and the accept scan's random reads of ``u[i]`` and
+    ``v[i]`` land on n objects instead of 2m. ``tokens``, when given, maps
+    each endpoint token already converted to that object; it only ever
     holds in-range vertices.
     """
     if len(w) + len(chunk) > m or (fields := _plain_fields(chunk)) is None:

@@ -8,6 +8,7 @@ two roots changes its speed, never the accepted edges.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
@@ -54,7 +55,9 @@ class GraphSpec:
     ``edges`` presents them as ``EdgeRecord``s, built only when read.
     Parallel edges, self-loops and disconnected graphs are all legal input.
     Weights must be finite: NaN or infinite weights break the total order
-    the solvers rely on, so they are rejected here, at construction.
+    the solvers rely on, so they are rejected here, at construction. So are
+    an ``n`` or endpoint that is not an integer (for ``operator.index``), or
+    an endpoint outside ``range(n)``: the solvers index lists with them.
     """
 
     n: int
@@ -100,6 +103,10 @@ class GraphSpec:
         w: list[float],
         ids: list[int] | None = None,
     ) -> None:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         m = len(w)
@@ -107,12 +114,21 @@ class GraphSpec:
             raise ValueError(f"column lengths differ: {len(u)}, {len(v)}, {m}")
         # One bulk pass decides; only a bad graph pays for the per-edge scan
         # that names its first bad edge, checked in the order listed here.
+        # Endpoints that are ints only through ``__index__``, such as numpy
+        # ints, pass the scan.
         if not (
-            (m == 0 or (0 <= min(u) and max(u) < n and 0 <= min(v) and max(v) < n))
+            {*map(type, u), *map(type, v)} <= {int}
+            and (m == 0 or (0 <= min(u) and max(u) < n and 0 <= min(v) and max(v) < n))
             and all(map(math.isfinite, w))
             and (ids is None or ids == list(range(m)))
         ):
             for pos in range(m):
+                try:
+                    operator.index(u[pos]), operator.index(v[pos])
+                except TypeError:
+                    raise ValueError(
+                        f"edge {pos}: endpoints ({u[pos]!r}, {v[pos]!r}) are not integers"
+                    ) from None
                 if not (0 <= u[pos] < n and 0 <= v[pos] < n):
                     raise ValueError(
                         f"edge {pos}: endpoints ({u[pos]}, {v[pos]}) out of range for n={n}"

@@ -32,8 +32,6 @@ from typing import Callable, Iterator
 from .graph import EdgeRecord, GraphSpec, kruskal_scan
 from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
 
-WEIGHT_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -72,11 +70,14 @@ class MstResult:
     """Accepted edges of a minimum spanning forest plus run metrics.
 
     Built as ``MstResult(graph, edge_ids, metrics)`` by every solver and
-    oracle alike. ``edge_ids`` holds the accepted edge ids in acceptance
-    order. ``total_weight`` is derived at construction: their weights summed
-    in that order from ``0.0``, so it is a float even when nothing is
-    accepted. ``accepted_count`` is ``len(edge_ids)``. ``edges`` builds the
-    accepted ``EdgeRecord``s from ``graph`` on first access.
+    oracle alike. ``edge_ids`` holds the accepted edge ids in (weight, id)
+    order: the Kruskal solvers accept in that order, and the oracles sort
+    into it. ``total_weight`` is derived at construction: their weights
+    summed in that order from ``0.0``, so it is a float even when nothing is
+    accepted. All minimum spanning forests of a graph share one multiset of
+    weights, so every solver and oracle gives the same float total.
+    ``accepted_count`` is ``len(edge_ids)``. ``edges`` builds the accepted
+    ``EdgeRecord``s from ``graph`` on first access.
     """
 
     graph: GraphSpec = field(repr=False, compare=False)
@@ -273,17 +274,6 @@ SOLVERS: dict[str, Callable[[GraphSpec, StrataParams], MstResult]] = {
 }
 
 
-def weight_close(got: float, want: float) -> bool:
-    """True when ``got`` is within ``WEIGHT_RTOL`` of ``want``, relative to
-    ``max(1, |want|)``; absorbs summation-order noise between solvers. A
-    non-finite value (a total that overflowed) is close only to an equal one."""
-    if not (math.isfinite(got) and math.isfinite(want)):
-        return got == want
-    return abs(got - want) <= WEIGHT_RTOL * max(1.0, abs(want))
-
-
 def mst_weight_equal(a: MstResult, b: MstResult) -> bool:
-    """True when two results agree on accepted count and total weight."""
-    return a.accepted_count == b.accepted_count and weight_close(
-        b.total_weight, a.total_weight
-    )
+    """True when two results agree on accepted count and, exactly, on total weight."""
+    return a.accepted_count == b.accepted_count and a.total_weight == b.total_weight

@@ -23,7 +23,8 @@ def prim_dense(g: GraphSpec) -> MstResult:
     """O(n^2) array-based Prim, run once per connected component.
 
     Keeps only the cheapest parallel edge per vertex pair and grows each
-    component's tree with linear scans over a best-attachment array.
+    component's tree with linear scans over a best-attachment array. The
+    tree is then sorted into (weight, id) order, so its total is the solvers'.
     """
     n = g.n
     w = g.w
@@ -60,14 +61,17 @@ def prim_dense(g: GraphSpec) -> MstResult:
                 if not in_tree[v] and w[i] < cost[v]:
                     cost[v] = w[i]
                     via[v] = i
+    accepted.sort()
+    accepted.sort(key=w.__getitem__)
     return MstResult(g, accepted, Metrics())
 
 
 def exhaustive_mst(g: GraphSpec) -> float:
     """Minimum spanning forest weight by enumerating all candidate edge subsets.
 
-    Every combination of n - c edge indices is tested for acyclicity with a
-    throwaway union-find; only tiny graphs are allowed.
+    Every combination of n - c edge ids, each in (weight, id) order, is
+    tested for acyclicity with a throwaway union-find and scored with the
+    ``MstResult`` sum; only tiny graphs are allowed.
     """
     if g.n > EXHAUSTIVE_MAX_N or g.m > EXHAUSTIVE_MAX_M:
         raise ValueError(
@@ -79,10 +83,8 @@ def exhaustive_mst(g: GraphSpec) -> float:
         return 0.0
     u, v, w = g.u, g.v, g.w
     best = _INF
-    for combo in combinations(range(g.m), target):
+    for combo in combinations(sorted(range(g.m), key=w.__getitem__), target):
         parent = list(range(g.n))
-        weight = 0.0
-        acyclic = True
         for idx in combo:
             a = u[idx]
             while parent[a] != a:
@@ -91,10 +93,8 @@ def exhaustive_mst(g: GraphSpec) -> float:
             while parent[b] != b:
                 b = parent[b]
             if a == b:
-                acyclic = False
                 break
             parent[a] = b
-            weight += w[idx]
-        if acyclic and weight < best:
-            best = weight
+        else:
+            best = min(best, sum(map(w.__getitem__, combo), 0.0))
     return best

@@ -1,7 +1,8 @@
 """The 12-case correctness suite behind the CLI's ``validate`` subcommand.
 
 Fixed-weight cases assert exact golden totals; generated cases assert
-agreement with the independent Prim oracle. Each constructed case was
+the independent Prim oracle's total, compared with ``==`` since every
+solver and oracle sums its edges in (weight, id) order. Each constructed case was
 cross-checked against exhaustive enumeration before its expected value was
 frozen (the test suite re-verifies that).
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec, graph_from_edges
-from .mst import SOLVERS, weight_close
+from .mst import SOLVERS
 from .oracle import prim_dense
 from .strata import StrataParams
 
@@ -105,6 +106,6 @@ def run_validation(cases: list[ValidationCase] | None = None) -> list[CaseResult
         for algo, solve in SOLVERS.items():
             got = solve(case.graph, params).total_weight
             results.append(
-                CaseResult(case.name, algo, got, expected, weight_close(got, expected))
+                CaseResult(case.name, algo, got, expected, got == expected)
             )
     return results

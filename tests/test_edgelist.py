@@ -19,8 +19,8 @@ from stratmst import (
 from stratmst.generators import WeightDist
 
 # Field separators. All but the single space are whitespace that str.split
-# splits on but the bulk path cannot prove safe, so their chunks must go to
-# the line parser.
+# splits on. The bulk path splits on single spaces alone, so a line that uses
+# one must either fail its two-space check or conversion, or read the same.
 SEPARATORS = (" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
               "\xa0", "\u3000")
 BAD_TOKENS = ("x", "1.5", "#", "#3", "0x1", "", "1e", "--1")
@@ -132,8 +132,8 @@ def test_lines_without_newline_are_not_glued():
     assert read_edge_list(["100 2", "0 1 2", "3 4 5"]) == g
 
 
-# Two-line chunks that get past every check of the bulk path but one: mostly
-# lines of 4 and 2 fields, which hold 6 fields together.
+# Two-line chunks of 6 fields in all, mostly lines of 4 and 2 fields, that
+# the bulk path must not read as two edges.
 @pytest.mark.parametrize("lines", [
     ["0 1 2 3\n", "4 5\n"],  # three spaces, then one
     *(["0 1 2" + c + "3\n", "4  5\n"] for c in "\t\x0b\x0c\r\x1c\x1d\x1e\x1f"),
@@ -144,6 +144,39 @@ def test_bulk_path_proves_three_fields_per_line(lines):
     lines = ["9 2\n", *lines]
     want = parse(reference_read_edge_list, iter(lines))
     assert parse(read_edge_list, iter(lines)) == want
+
+
+@pytest.mark.parametrize("chunk", [1, None])
+def test_crlf_and_trailing_tab_lines_stay_on_the_bulk_path(chunk, monkeypatch):
+    # A field keeps the "\r\n" or tab at its end when the bulk path splits
+    # on " " alone; float strips it, so no chunk needs the line parser.
+    lines = ["5 4\r\n", "0 1 2.5\r\n", "1 2 -0.0\t\n", "2 3 1e-3\t", "3 4 7\t\r\n"]
+    want = reference_read_edge_list(iter(lines))
+
+    def line_parser(*args):
+        raise AssertionError("a chunk went to the line parser")
+
+    monkeypatch.setattr(edgelist, "_take_lines", line_parser)
+    with chunk_lines(chunk):
+        got = read_edge_list(lines)
+    assert got == want
+    assert repr(got) == repr(want)  # -0.0 keeps its sign
+
+
+def test_unstripped_separators_go_to_the_line_parser(monkeypatch):
+    # str.split splits on "\x1c"-"\x1f", so the line parser reads these
+    # lines, but float does not strip them: the bulk path must give way.
+    lines = ["3 2\n", "0 1 2\x1c\n", "1 2 3\x1f\n"]
+    sent = []
+    take_lines = edgelist._take_lines
+
+    def line_parser(chunk, *args):
+        sent.append(chunk)
+        return take_lines(chunk, *args)
+
+    monkeypatch.setattr(edgelist, "_take_lines", line_parser)
+    assert read_edge_list(lines) == reference_read_edge_list(iter(lines))
+    assert sent == [lines[1:]]
 
 
 # n = 400 swaps the vertex dict for a list once 200 of the 1,000 edges are

@@ -3,6 +3,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from stratmst import (
     GraphSpec,
     component_count,
     graph_from_edges,
+    kruskal_std,
     read_edge_list,
     write_edge_list,
 )
@@ -101,6 +103,27 @@ def test_from_columns_validates_like_records():
         GraphSpec.from_columns(2, [0, 1], [1], [1.0])
     with pytest.raises(ValueError, match="non-negative"):
         GraphSpec.from_columns(-1, [], [], [])
+
+
+def test_graph_rejects_non_integer_endpoints_and_n():
+    # A float endpoint used to build a graph that failed only as a list
+    # index inside the solver; a float n built outright.
+    with pytest.raises(ValueError, match=r"edge 0: endpoints \(0\.0, 1\) are not integers"):
+        graph_from_edges(2, [(0.0, 1, 1.0)])
+    with pytest.raises(ValueError, match=r"edge 1: endpoints \(1, '0'\) are not integers"):
+        GraphSpec.from_columns(2, [0, 1], [1, "0"], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"edge 0: endpoints \(0, 1\.5\) are not integers"):
+        GraphSpec(2, (EdgeRecord(0, 1.5, 1.0, 0),))
+    # The first bad edge is named, whichever check it fails.
+    with pytest.raises(ValueError, match=r"edge 0: endpoints \(0, 9\) out of range"):
+        GraphSpec.from_columns(2, [0, 0.5], [9, 1], [1.0, 1.0])
+    for n in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            GraphSpec.from_columns(n, [0], [1], [1.0])
+    # Anything operator.index accepts is an integer: numpy ints and bools.
+    g = GraphSpec.from_columns(np.int64(3), np.array([0, 1]), [True, np.int32(2)], [1.0, 2.0])
+    assert (type(g.n), g.n, g.m) == (int, 3, 2)
+    assert kruskal_std(g).total_weight == 3.0
 
 
 def test_graph_reports_the_first_bad_edge_in_order():
