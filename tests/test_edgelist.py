@@ -1,6 +1,9 @@
 """Differential test: the chunked parser against the line-by-line reference."""
 
 import io
+import random
+import struct
+from array import array
 from contextlib import contextmanager
 
 import pytest
@@ -10,13 +13,16 @@ from hypothesis import strategies as st
 from helpers import reference_read_edge_list, traced_memory
 from stratmst import (
     EdgeListError,
+    StrataParams,
     edgelist,
     gen_path,
     gen_random,
+    graph_from_edges,
     read_edge_list,
     write_edge_list,
 )
 from stratmst.generators import WeightDist
+from stratmst.mst import SOLVERS
 
 # Field separators. All but the single space are whitespace that str.split
 # splits on. The bulk path splits on single spaces alone, so a line that uses
@@ -127,7 +133,7 @@ def test_lines_without_newline_are_not_glued():
     # "".join() of these is "0 1 23 4 5": two endpoints but one weight per
     # pair of lines, which the bulk path once appended as-is.
     g = read_edge_list(iter(["100 2", "0 1 2", "3 4 5"]))
-    assert (g.u, g.v, g.w) == ([0, 3], [1, 4], [2.0, 5.0])
+    assert (g.u, g.v, list(g.w), g.w.typecode) == ([0, 3], [1, 4], [2.0, 5.0], "d")
     # A list is read once from the top, not from the top again after the header.
     assert read_edge_list(["100 2", "0 1 2", "3 4 5"]) == g
 
@@ -225,6 +231,8 @@ def test_generated_file_round_trips_across_chunk_sizes(chunk):
 def test_parse_transient_memory_is_bounded_by_the_chunk():
     # Peak minus retained: the chunk's lines, joined text and fields, which
     # are dropped before the next chunk is read. n is fixed, so only m grows.
+    # Retained, the graph costs two 8-byte endpoint slots and one packed
+    # double per edge, about 26 B; a float object per weight made it 51 B.
     transient = []
     for m in (20_000, 80_000):
         buf = io.StringIO()
@@ -232,6 +240,8 @@ def test_parse_transient_memory_is_bounded_by_the_chunk():
         lines = buf.getvalue().splitlines(keepends=True)
         g, retained, peak = traced_memory(lambda: read_edge_list(lines))
         assert g.m == m
+        assert type(g.w) is array and g.w.typecode == "d"
+        assert retained < 32 * m
         transient.append(peak - retained)
     assert max(transient) < 400 * edgelist.CHUNK_LINES
     assert transient[1] - transient[0] < 500_000  # flat as m grows
@@ -243,7 +253,8 @@ def test_huge_header_parses_in_memory_bounded_by_the_edges():
     g, _, peak = traced_memory(
         lambda: read_edge_list(["1000000000 1\n", "0 999999999 1.5\n"])
     )
-    assert (g.n, g.u, g.v, g.w) == (10**9, [0], [999_999_999], [1.5])
+    assert (g.n, g.u, g.v, list(g.w)) == (10**9, [0], [999_999_999], [1.5])
+    assert g.w.typecode == "d"
     assert peak < 1_000_000
 
 
@@ -259,3 +270,41 @@ def test_path_parse_never_grows_a_dict_of_every_vertex():
     g, retained, peak = traced_memory(lambda: read_edge_list(lines))
     assert g.m == n - 1
     assert peak - retained < 2_500_000
+
+
+# Weights whose bits a lossy column would change: a sign that == cannot see,
+# the smallest subnormal and normal doubles, and doubles past 2**53.
+EXACT_WEIGHTS = ("-0.0", "0.0", "5e-324", "2.2250738585072014e-308", "1e16", "-1e16")
+
+
+def bits(weights):
+    return struct.pack(f"{len(weights)}d", *weights)
+
+
+# A comment sends its whole chunk, here the whole file, to the line parser.
+@pytest.mark.parametrize("filler", [pytest.param("", id="bulk"), pytest.param("#\n", id="lines")])
+def test_weights_keep_their_bits_through_parse_and_write(filler):
+    n = 24
+    rng = random.Random(7)
+    spelled = [(a, b, rng.choice(EXACT_WEIGHTS)) for a in range(n) for b in range(a + 1, n)]
+    triples = [(a, b, float(x)) for a, b, x in spelled]
+    text = f"{n} {len(spelled)}\n{filler}" + "".join(f"{a} {b} {x}\n" for a, b, x in spelled)
+    want = graph_from_edges(n, triples)
+    g = read_edge_list(io.StringIO(text))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    again = read_edge_list(io.StringIO(buf.getvalue()))
+    expected = bits([x for _, _, x in triples])
+    for h in (g, again):
+        assert type(h.w) is array and h.w.typecode == "d"
+        assert bits(h.w) == expected
+        assert (h.u, h.v) == (want.u, want.v)
+    for name, solve in SOLVERS.items():
+        for params in (StrataParams(seed=3), StrataParams(k=7, seed=3)):
+            ref = solve(want, params)
+            for got in (solve(g, params), solve(again, params)):
+                assert got.edge_ids == ref.edge_ids, name
+                assert bits([got.total_weight]) == bits([ref.total_weight]), name
+                for field in ("sort_ops", "partition_ops", "strata_processed",
+                              "strata_total", "union_calls", "accepted_per_stratum"):
+                    assert getattr(got.metrics, field) == getattr(ref.metrics, field), field

@@ -138,7 +138,8 @@ def test_records_and_columns_build_equal_graphs():
     records = (EdgeRecord(0, 1, 2.5, 0), EdgeRecord(2, 2, -1.0, 1), EdgeRecord(1, 2, 0.0, 2))
     g = GraphSpec(3, records)
     assert g == GraphSpec.from_columns(3, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
-    assert (g.u, g.v, g.w) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert (g.u, g.v, list(g.w)) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert g.w.typecode == "d"
     assert g != GraphSpec.from_columns(4, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
     assert g.m == 3
 
