@@ -25,23 +25,17 @@ lines, their joined text and its fields are dropped before the next chunk
 is read, so the chunk size, not the edge count, sets the parse's
 transient memory: about 1 MB at 4,096 lines of ``u v w`` (tracemalloc).
 Larger chunks only raise the peak; the parse is no faster with them. The
-weights go into an ``array('d')`` as each chunk is taken, so only one
-chunk's float objects exist at a time, and the graph keeps 8 bytes per
-weight.
+columns are packed arrays, ``array('i')`` endpoints and ``array('d')``
+weights, filled as each chunk is taken, so only one chunk's int and float
+objects exist at a time and the graph keeps about 16 bytes per edge. A
+header's ``n`` above ``graph.MAX_N`` is rejected, so every endpoint fits
+an ``array('i')`` slot.
 
-Each vertex is stored as one int object, shared by every edge that names
-it. The reader keeps those objects in a dict, about 50 bytes per vertex
-seen, until the edges read prove ``2 * edges >= n``. From then on it keeps
-them in an n-slot list, 8 bytes per header vertex, which starts from the
-dict's objects. A path of 200k vertices thus never grows the dict past
-100k entries, and a header whose edges cannot cover its ``n``, such as
-``2000000 1``, keeps the dict: either way, interning costs memory bounded
-by the edges read. When the header's ``n`` is at most
-``TOKEN_CACHE_MAX_N``, the reader also keeps every endpoint token it has
-converted, so a vertex spelled the same way again costs a dict lookup
-instead of an ``int`` call. The gate reads ``n`` alone and does not follow
-the chunk size: with more vertices than that, most tokens are new, and the
-cache would only cost.
+When the header's ``n`` is at most ``TOKEN_CACHE_MAX_N``, the reader keeps
+every endpoint token it has converted, so a vertex spelled the same way
+again costs a dict lookup instead of an ``int`` call. The gate reads ``n``
+alone and does not follow the chunk size: with more vertices than that,
+most tokens are new, and the cache would only cost.
 """
 
 from __future__ import annotations
@@ -52,7 +46,7 @@ from array import array
 from itertools import islice, repeat
 from typing import IO, Iterable, Iterator
 
-from .graph import GraphSpec
+from .graph import MAX_N, GraphSpec
 
 CHUNK_LINES = 1 << 12
 TOKEN_CACHE_MAX_N = 1 << 15
@@ -81,17 +75,8 @@ def _plain_fields(chunk: list[str]) -> list[str] | None:
     return " ".join(chunk).split(" ")
 
 
-def _intern(vertices: dict[int, int] | list[int], ints: list[int]) -> list[int]:
-    """The one int object kept per vertex, for each of ``ints``; all are in range."""
-    if type(vertices) is list:
-        return list(map(vertices.__getitem__, ints))
-    return list(map(vertices.setdefault, ints, ints))
-
-
-def _endpoints(
-    col: list[str], n: int, vertices: dict[int, int] | list[int], tokens: dict[str, int] | None
-) -> list[int]:
-    """The interned vertex of each token; ValueError if one is not a vertex."""
+def _endpoints(col: list[str], n: int, tokens: dict[str, int] | None) -> list[int]:
+    """The vertex of each token; ValueError if one is not a vertex."""
     if tokens is not None:
         try:
             return list(map(tokens.__getitem__, col))
@@ -100,7 +85,6 @@ def _endpoints(
     ints = list(map(int, col))
     if not (0 <= min(ints) and max(ints) < n):
         raise ValueError
-    ints = _intern(vertices, ints)
     if tokens is not None:
         tokens.update(zip(col, ints))
     return ints
@@ -110,36 +94,36 @@ def _take_bulk(
     chunk: list[str],
     n: int,
     m: int,
-    u: list[int],
-    v: list[int],
+    u: array[int],
+    v: array[int],
     w: array[float],
-    vertices: dict[int, int] | list[int],
     tokens: dict[str, int] | None,
 ) -> bool:
     """Append a chunk of plain ``u v w`` lines to the columns in bulk.
 
     Returns False, appending nothing, unless every line's three fields
     convert, endpoints are in range, weights are finite and the edge count
-    stays within ``m``. Endpoints are stored as the one int object per
-    vertex kept in ``vertices`` (see ``_intern``): the columns then cost
-    less memory, and the accept scan's random reads of ``u[i]`` and
-    ``v[i]`` land on n objects instead of 2m. ``tokens``, when given, maps
-    each endpoint token already converted to that object; it only ever
-    holds in-range vertices.
+    stays within ``m``. Each column of the chunk is converted to a list of
+    ints or floats, then packed onto its array by ``struct.pack``: about
+    twice as fast as ``fromlist`` and four times as fast as ``extend`` on a
+    4,096-item chunk. The chunk's int and float objects go with the chunk.
+    ``tokens``, when given, maps each endpoint token already converted to
+    its int; it only ever holds in-range vertices.
     """
-    if len(w) + len(chunk) > m or (fields := _plain_fields(chunk)) is None:
+    k = len(chunk)
+    if len(w) + k > m or (fields := _plain_fields(chunk)) is None:
         return False
     try:
-        cu = _endpoints(fields[0::3], n, vertices, tokens)
-        cv = _endpoints(fields[1::3], n, vertices, tokens)
+        cu = _endpoints(fields[0::3], n, tokens)
+        cv = _endpoints(fields[1::3], n, tokens)
         cw = list(map(float, fields[2::3]))
     except ValueError:
         return False
     if not all(map(math.isfinite, cw)):
         return False
-    u += cu
-    v += cv
-    w.frombytes(struct.pack(f"{len(cw)}d", *cw))  # 4x as fast as w.extend(cw)
+    u.frombytes(struct.pack(f"{k}i", *cu))
+    v.frombytes(struct.pack(f"{k}i", *cv))
+    w.frombytes(struct.pack(f"{k}d", *cw))
     return True
 
 
@@ -149,16 +133,14 @@ def _take_lines(
     last_no: int,
     n: int,
     m: int,
-    u: list[int],
-    v: list[int],
+    u: array[int],
+    v: array[int],
     w: array[float],
-    vertices: dict[int, int] | list[int],
 ) -> int:
     """Parse a chunk line by line; returns the number of its last content line.
 
     ``offset`` is the number of lines before the chunk; ``last_no`` is
-    returned unchanged when the chunk holds no content line. Endpoints are
-    interned in ``vertices``, as in the bulk path.
+    returned unchanged when the chunk holds no content line.
     """
     for no, text in _content_lines(chunk):
         last_no = offset + no
@@ -175,7 +157,6 @@ def _take_lines(
             raise EdgeListError(last_no, f"endpoints ({a}, {b}) out of range for n={n}")
         if not math.isfinite(x):
             raise EdgeListError(last_no, f"weight {parts[2]!r} is not finite")
-        a, b = _intern(vertices, [a, b])
         u.append(a)
         v.append(b)
         w.append(x)
@@ -202,23 +183,19 @@ def read_edge_list(stream: Iterable[str]) -> GraphSpec:
         raise EdgeListError(last_no, f"expected header 'n m', got {text!r}") from None
     if n < 0 or m < 0:
         raise EdgeListError(last_no, "n and m must be non-negative")
+    if n > MAX_N:
+        raise EdgeListError(last_no, f"n={n} exceeds the limit of {MAX_N} vertices")
 
-    u: list[int] = []
-    v: list[int] = []
+    u = array("i")
+    v = array("i")
     w = array("d")
-    vertices: dict[int, int] | list[int] = {}
     tokens: dict[str, int] | None = {} if n <= TOKEN_CACHE_MAX_N else None
     no = last_no
     while chunk := list(islice(stream, CHUNK_LINES)):
-        if type(vertices) is dict and 2 * len(w) >= n:
-            # The edges read can now touch every vertex: an n-slot list is
-            # smaller than the dict would grow. It keeps the objects already
-            # handed out and takes a fresh int for each vertex not yet seen.
-            vertices = list(map(vertices.get, range(n), range(n)))
-        if _take_bulk(chunk, n, m, u, v, w, vertices, tokens):
+        if _take_bulk(chunk, n, m, u, v, w, tokens):
             last_no = no + len(chunk)
         else:
-            last_no = _take_lines(chunk, no, last_no, n, m, u, v, w, vertices)
+            last_no = _take_lines(chunk, no, last_no, n, m, u, v, w)
         no += len(chunk)
     if len(w) != m:
         raise EdgeListError(last_no, f"expected {m} edges, found only {len(w)}")

@@ -131,6 +131,17 @@ def test_mst_malformed_file_names_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["1000000000000000000000000000000", "3000000000", str(2**31 + 1)])
+def test_mst_rejects_a_vertex_count_past_the_limit(tmp_path, capsys, n):
+    # Rejected at the header, before the solve asks for an n-slot forest.
+    bad = tmp_path / "huge.txt"
+    bad.write_text(f"{n} 1\n0 1 1.5\n")
+    assert main(["mst", "--input", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: line 1: n={n} exceeds the limit of {2**31} vertices\n"
+
+
 def test_mst_rejects_input_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"2 1\n0 1 \xff\n")

@@ -13,15 +13,20 @@ from hypothesis import strategies as st
 from helpers import reference_read_edge_list, traced_memory
 from stratmst import (
     EdgeListError,
+    EdgeRecord,
+    GraphSpec,
     StrataParams,
     edgelist,
+    gen_grid,
     gen_path,
     gen_random,
+    generators,
     graph_from_edges,
     read_edge_list,
     write_edge_list,
 )
 from stratmst.generators import WeightDist
+from stratmst.graph import MAX_N
 from stratmst.mst import SOLVERS
 
 # Field separators. All but the single space are whitespace that str.split
@@ -106,9 +111,7 @@ def edge_list_texts(draw, n_range=(0, 6)):
 
 
 # chunk_lines(c) turns the token cache on for n <= c: chunk 1 runs the bulk
-# path without it, 2 and the default with it, 3 either way. Chunks 1-3 also
-# swap the vertex dict for a list mid-file whenever 2 * edges >= n before
-# the last chunk.
+# path without it, 2 and the default with it, 3 either way.
 @pytest.mark.parametrize("chunk, n_range", [
     pytest.param(1, (2, 7), id="1"),
     pytest.param(2, (0, 2), id="2"),
@@ -133,7 +136,7 @@ def test_lines_without_newline_are_not_glued():
     # "".join() of these is "0 1 23 4 5": two endpoints but one weight per
     # pair of lines, which the bulk path once appended as-is.
     g = read_edge_list(iter(["100 2", "0 1 2", "3 4 5"]))
-    assert (g.u, g.v, list(g.w), g.w.typecode) == ([0, 3], [1, 4], [2.0, 5.0], "d")
+    assert (list(g.u), list(g.v), list(g.w), g.w.typecode) == ([0, 3], [1, 4], [2.0, 5.0], "d")
     # A list is read once from the top, not from the top again after the header.
     assert read_edge_list(["100 2", "0 1 2", "3 4 5"]) == g
 
@@ -185,34 +188,72 @@ def test_unstripped_separators_go_to_the_line_parser(monkeypatch):
     assert sent == [lines[1:]]
 
 
-# n = 400 swaps the vertex dict for a list once 200 of the 1,000 edges are
-# read, which is mid-file unless the file is one chunk; n = 4,000 keeps it.
-@pytest.mark.parametrize("chunk, filler, n", [
-    pytest.param(8, "", 4000, id="bulk"),  # n > TOKEN_CACHE_MAX_N: no token cache
-    pytest.param(8, "", 400, id="bulk-switch"),
-    pytest.param(None, "", 4000, id="token-cache"),
-    pytest.param(400, "", 400, id="token-cache-switch"),
-    pytest.param(None, "# note\n", 4000, id="line-parser"),  # a comment in the chunk
-    pytest.param(8, "# note\n", 400, id="line-parser-switch"),  # both parsers
+EDGES = [(300 + i % 5, 300 + i // 10, float(i)) for i in range(1000)]
+
+
+def parsed(chunk, filler, n):
+    """Parse ``EDGES`` under a header of ``n`` vertices, with ``filler``
+    before every hundredth edge line."""
+    def build(monkeypatch):
+        text = f"{n} {len(EDGES)}\n" + "".join(
+            (filler if i % 100 == 50 else "") + f"{a} {b} {x!r}\n"
+            for i, (a, b, x) in enumerate(EDGES)
+        )
+        with chunk_lines(chunk):
+            return read_edge_list(io.StringIO(text)), EDGES
+    return build
+
+
+def generated(make):
+    """Run a generator and record the columns it hands to ``from_columns``."""
+    def build(monkeypatch):
+        seen = []
+
+        class Recording(GraphSpec):
+            @classmethod
+            def from_columns(cls, n, u, v, w):
+                seen.append(list(zip(u, v, w)))
+                return GraphSpec.from_columns(n, u, v, w)
+
+        monkeypatch.setattr(generators, "GraphSpec", Recording)
+        g = make()
+        return g, seen[0]
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(parsed(None, "", 40_000), id="bulk"),  # n > TOKEN_CACHE_MAX_N: no token cache
+    pytest.param(parsed(None, "", 400), id="token-cache"),
+    pytest.param(parsed(None, "# note\n", 400), id="line-parser"),  # a comment in the chunk
+    pytest.param(parsed(64, "# note\n", 400), id="split-chunks"),  # both parsers
+    pytest.param(lambda mp: (GraphSpec.from_columns(400, *map(list, zip(*EDGES))), EDGES),
+                 id="from_columns"),
+    pytest.param(lambda mp: (graph_from_edges(400, EDGES), EDGES), id="graph_from_edges"),
+    pytest.param(lambda mp: (GraphSpec(400, [EdgeRecord(*e, i) for i, e in enumerate(EDGES)]),
+                             EDGES), id="records"),
+    pytest.param(generated(lambda: gen_random(400, 1000, WeightDist.uniform(), seed=2)),
+                 id="gen_random"),
+    pytest.param(generated(lambda: gen_grid(3, 4, WeightDist.uniform(), seed=2)), id="gen_grid"),
+    pytest.param(generated(lambda: gen_path(50, WeightDist.uniform(), seed=2)), id="gen_path"),
 ])
-def test_each_vertex_is_one_int_object(chunk, filler, n):
-    # Vertices above 256, since CPython shares the small ints anyway. Each
-    # vertex appears in both columns and in several chunks; the five low
-    # ones on both sides of the switch, the others mostly after it.
-    edges = [(300 + i % 5, 300 + i // 10, float(i)) for i in range(1000)]
-    text = f"{n} 1000\n" + "".join(
-        (filler if i % 100 == 50 else "") + f"{a} {b} {x!r}\n"
-        for i, (a, b, x) in enumerate(edges)
-    )
-    with chunk_lines(chunk):
-        g = read_edge_list(io.StringIO(text))
+def test_every_route_packs_endpoints_as_c_ints(build, monkeypatch):
+    g, edges = build(monkeypatch)
+    for col in (g.u, g.v):
+        assert type(col) is array and col.typecode == "i"
     assert list(zip(g.u, g.v, g.w)) == edges
-    ends = [*g.u, *g.v]
-    assert len({id(x) for x in ends}) == len(set(ends))  # equal means identical
 
 
-# n = 300 swaps the vertex dict for a list after 150 of the 1,000 edges:
-# mid-file at every chunk size here but the default.
+@pytest.mark.parametrize("filler", [pytest.param("", id="bulk"), pytest.param("#\n", id="lines")])
+def test_header_n_up_to_max_n_parses(filler):
+    assert MAX_N == 2**31
+    g = read_edge_list([f"{2**31} 1\n", filler, "0 2147483647 1.5\n"])
+    assert (g.n, list(g.u), list(g.v), list(g.w)) == (2**31, [0], [2**31 - 1], [1.5])
+    for n in (2**31 + 1, 3_000_000_000, 10**30):
+        with pytest.raises(EdgeListError, match=f"^line 1: n={n} exceeds the limit of {2**31}"):
+            read_edge_list([f"{n} 1\n", filler, "0 1 1.5\n"])
+
+
+# Chunk sizes that split the file, and the default that does not.
 @pytest.mark.parametrize("chunk", [1, 7, 64, None])
 def test_generated_file_round_trips_across_chunk_sizes(chunk):
     g = gen_random(300, 1000, WeightDist.pareto(), seed=5)
@@ -231,8 +272,8 @@ def test_generated_file_round_trips_across_chunk_sizes(chunk):
 def test_parse_transient_memory_is_bounded_by_the_chunk():
     # Peak minus retained: the chunk's lines, joined text and fields, which
     # are dropped before the next chunk is read. n is fixed, so only m grows.
-    # Retained, the graph costs two 8-byte endpoint slots and one packed
-    # double per edge, about 26 B; a float object per weight made it 51 B.
+    # Retained, the graph costs two packed 4-byte endpoints and one packed
+    # double per edge, about 16 B.
     transient = []
     for m in (20_000, 80_000):
         buf = io.StringIO()
@@ -241,28 +282,28 @@ def test_parse_transient_memory_is_bounded_by_the_chunk():
         g, retained, peak = traced_memory(lambda: read_edge_list(lines))
         assert g.m == m
         assert type(g.w) is array and g.w.typecode == "d"
-        assert retained < 32 * m
+        assert retained < 20 * m
         transient.append(peak - retained)
     assert max(transient) < 400 * edgelist.CHUNK_LINES
     assert transient[1] - transient[0] < 500_000  # flat as m grows
 
 
 def test_huge_header_parses_in_memory_bounded_by_the_edges():
-    # One edge cannot cover 10**9 vertices, so the vertex dict is kept; an
-    # n-slot list would need 8 GB.
+    # The parse keeps nothing per header vertex; an n-slot list would need
+    # 8 GB.
     g, _, peak = traced_memory(
         lambda: read_edge_list(["1000000000 1\n", "0 999999999 1.5\n"])
     )
-    assert (g.n, g.u, g.v, list(g.w)) == (10**9, [0], [999_999_999], [1.5])
+    assert (g.n, list(g.u), list(g.v), list(g.w)) == (10**9, [0], [999_999_999], [1.5])
     assert g.w.typecode == "d"
     assert peak < 1_000_000
 
 
 def test_path_parse_never_grows_a_dict_of_every_vertex():
-    # Past the token cache's gate, with n = m + 1: the vertex dict gives way
-    # to a list at half the edges. A dict of all 65,536 vertices made the
-    # parse's transient (peak minus retained) 3.6 MB under tracemalloc;
-    # the switch leaves the chunk's own transient and the list.
+    # Past the token cache's gate, with n = m + 1, the parse keeps no table
+    # of vertices. A dict of all 65,536 vertices made the parse's transient
+    # (peak minus retained) 3.6 MB under tracemalloc; the packed columns
+    # leave only the chunk's own transient.
     n = 2 * edgelist.TOKEN_CACHE_MAX_N
     buf = io.StringIO()
     write_edge_list(gen_path(n, WeightDist.uniform(), seed=1), buf)

@@ -126,6 +126,15 @@ def test_graph_rejects_non_integer_endpoints_and_n():
     assert kruskal_std(g).total_weight == 3.0
 
 
+def test_graph_vertex_count_is_capped_at_max_n():
+    # Every endpoint must fit the C int of an array('i') column.
+    g = GraphSpec.from_columns(2**31, [0], [2**31 - 1], [1.5])
+    assert (g.n, list(g.u), list(g.v)) == (2**31, [0], [2**31 - 1])
+    for n in (2**31 + 1, 10**30):
+        with pytest.raises(ValueError, match=f"vertex count must be at most {2**31}, got {n}"):
+            GraphSpec.from_columns(n, [0], [1], [1.5])
+
+
 def test_graph_reports_the_first_bad_edge_in_order():
     # Edge 0's wrong id is reported before edge 1's bad endpoint.
     with pytest.raises(ValueError, match="edge 0: id 3 does not match"):
@@ -138,7 +147,7 @@ def test_records_and_columns_build_equal_graphs():
     records = (EdgeRecord(0, 1, 2.5, 0), EdgeRecord(2, 2, -1.0, 1), EdgeRecord(1, 2, 0.0, 2))
     g = GraphSpec(3, records)
     assert g == GraphSpec.from_columns(3, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
-    assert (g.u, g.v, list(g.w)) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
+    assert (list(g.u), list(g.v), list(g.w)) == ([0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
     assert g.w.typecode == "d"
     assert g != GraphSpec.from_columns(4, [0, 2, 1], [1, 2, 2], [2.5, -1.0, 0.0])
     assert g.m == 3
