@@ -24,10 +24,11 @@ import heapq
 import math
 import operator
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, repeat
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graph import EdgeRecord, GraphSpec, kruskal_scan
 from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
@@ -72,7 +73,13 @@ class MstResult:
     Built as ``MstResult(graph, edge_ids, metrics)`` by every solver and
     oracle alike. ``edge_ids`` holds the accepted edge ids in (weight, id)
     order: the Kruskal solvers accept in that order, and the oracles sort
-    into it. ``total_weight`` is derived at construction: their weights
+    into it. It is always an ``array('I')``, 4 bytes per id: an
+    ``array('I')`` passed in, such as a Kruskal solver's accepted ids, is
+    adopted without a copy, and any other sequence is packed into one.
+    Never mutate it. Two results are equal when their ``edge_ids``,
+    ``metrics`` and ``total_weight`` are; since an array is unhashable,
+    ``hash`` leaves ``edge_ids`` out, which equal results still agree on.
+    ``total_weight`` is derived at construction: their weights
     summed in that order from ``0.0``, so it is a float even when nothing is
     accepted. All minimum spanning forests of a graph share one multiset of
     weights, so every solver and oracle gives the same float total.
@@ -81,13 +88,15 @@ class MstResult:
     """
 
     graph: GraphSpec = field(repr=False, compare=False)
-    edge_ids: tuple[int, ...]
+    edge_ids: array[int] = field(hash=False)
     metrics: Metrics
     total_weight: float = field(init=False)
 
     def __post_init__(self) -> None:
-        ids = tuple(self.edge_ids)
-        object.__setattr__(self, "edge_ids", ids)
+        ids = self.edge_ids
+        if type(ids) is not array or ids.typecode != "I":
+            ids = array("I", ids)
+            object.__setattr__(self, "edge_ids", ids)
         object.__setattr__(self, "total_weight", sum(map(self.graph.w.__getitem__, ids), 0.0))
 
     @property
@@ -128,9 +137,9 @@ def kruskal_heap(g: GraphSpec) -> MstResult:
     heap = list(zip(g.w, range(g.m)))
     heapq.heapify(heap)
     t1 = time.perf_counter_ns()
-    accepted: list[int] = []
+    accepted = array("I")
     pops = kruskal_scan(
-        [-1] * g.n,
+        array("i", [-1]) * g.n,
         g,
         (heapq.heappop(heap)[1] for _ in range(g.m)),
         accepted,
@@ -163,7 +172,10 @@ def kruskal_eds(
     incomplete after them. Phase 3 sorts buckets lightest-first, feeding
     each through union-find, and returns the moment the spanning forest is
     complete, leaving heavier buckets unsorted. Disconnected inputs run
-    through every bucket and yield the minimum spanning forest.
+    through every bucket and yield the minimum spanning forest. Buckets and
+    accepted ids are ``array('I')``s and the forest an ``array('i')``, 4
+    bytes per id or vertex; only the bucket being sorted and scanned is a
+    list of int objects.
 
     When the resolved stratum count is 1 (explicitly, or via the automatic
     fallback on small inputs) phases 1 and 2 are skipped entirely and the
@@ -186,8 +198,8 @@ def kruskal_eds(
         t1 = time.perf_counter_ns()
     cuts = boundaries.values if boundaries is not None else ()
 
-    parent = [-1] * g.n
-    accepted: list[int] = []
+    parent = array("i", [-1]) * g.n
+    accepted = array("I")
     target = g.n - 1
     sort_ops = 0
     strata_processed = 0
@@ -200,11 +212,11 @@ def kruskal_eds(
         t2 = time.perf_counter_ns()
         # Weight alone gives the (weight, id) order: the sort is stable and
         # buckets hold ids in increasing order.
-        bucket.sort(key=weight)
+        ordered = sorted(bucket, key=weight)
         t3 = time.perf_counter_ns()
-        sort_ops += len(bucket)
+        sort_ops += len(ordered)
         before = len(accepted)
-        union_calls += kruskal_scan(parent, g, bucket, accepted, target)
+        union_calls += kruskal_scan(parent, g, ordered, accepted, target)
         accepted_per[i] = len(accepted) - before
         sort_ns += t3 - t2
         scan_ns += time.perf_counter_ns() - t3
@@ -227,7 +239,7 @@ def kruskal_eds(
 
 def _phase2_buckets(
     g: GraphSpec, cuts: tuple[float, ...], work: list[int]
-) -> Iterator[list[int]]:
+) -> Iterator[Sequence[int]]:
     """Yield the buckets of ``partition_ids(g.w, range(g.m), Boundaries(cuts))``
     lightest-first, partitioning only as far as the consumer reads.
 
@@ -240,12 +252,14 @@ def _phase2_buckets(
     one pass. ``work`` accumulates ``[ids bucketed, nanoseconds spent]``.
     Comparisons go through ``operator.lt``/``ge`` on the weight, as
     ``bisect`` does, so an int cut against float weights compares exactly.
-    Edge ids come from ``range(g.m)``: only the ids a bucket keeps stay
-    alive as int objects, and the graph holds no id per edge.
+    Edge ids come from ``range(g.m)``, and each bucket is an ``array('I')``
+    that keeps them as C ints; the consumer turns one bucket at a time into
+    int objects, to sort and scan it, and each bucket is dropped here once
+    handed over. With one stratum the single bucket is ``range(g.m)``.
     """
     total = len(cuts) + 1
     if total == 1:
-        yield list(range(g.m))
+        yield range(g.m)
         return
     hi = math.ceil(2 * expected_strata(g.n, g.m, total))
     if hi > total // 2:
@@ -262,7 +276,12 @@ def _phase2_buckets(
         buckets = partition_ids(weights, ids, Boundaries(cuts[lo:up]))
         work[0] += len(ids)
         work[1] += time.perf_counter_ns() - t0
-        yield from buckets
+        # Keep only the packed buckets alive, and hand them over one at a
+        # time, so that each can be freed once the consumer is done with it.
+        del ids, weights
+        buckets.reverse()
+        while buckets:
+            yield buckets.pop()
 
 
 # Every solver by its CLI name, called as ``solve(g, params)``. ``params``

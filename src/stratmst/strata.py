@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -162,11 +163,16 @@ def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> list[list[
 
 def partition_ids(
     weights: Iterable[float], ids: Iterable[int], boundaries: Boundaries
-) -> list[list[int]]:
+) -> list[array[int]]:
     """``partition`` on columns: bucket each id by its weight, the i-th
-    weight belonging to the i-th id, in input order."""
+    weight belonging to the i-th id, in input order.
+
+    Each bucket is an ``array('I')``, so a bucketed id costs 4 bytes and no
+    int object: the int that ``ids`` yields is dropped once its C unsigned
+    int is stored. Every edge id of a ``GraphSpec`` fits one.
+    """
     cuts = boundaries.values
-    buckets: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+    buckets = [array("I") for _ in range(len(cuts) + 1)]
     for i, x in zip(ids, weights):
         buckets[bisect_right(cuts, x)].append(i)
     return buckets

@@ -142,6 +142,15 @@ def test_mst_rejects_a_vertex_count_past_the_limit(tmp_path, capsys, n):
     assert err == f"error: {bad}: line 1: n={n} exceeds the limit of {2**31} vertices\n"
 
 
+def test_mst_rejects_an_edge_count_past_the_limit(tmp_path, capsys):
+    bad = tmp_path / "many.txt"
+    bad.write_text(f"2 {2**31 + 1}\n0 1 1.5\n")
+    assert main(["mst", "--input", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}: line 1: m={2**31 + 1} exceeds the limit of {2**31} edges\n"
+
+
 def test_mst_rejects_input_that_is_not_utf8(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"2 1\n0 1 \xff\n")

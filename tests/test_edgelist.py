@@ -243,14 +243,31 @@ def test_every_route_packs_endpoints_as_c_ints(build, monkeypatch):
     assert list(zip(g.u, g.v, g.w)) == edges
 
 
-@pytest.mark.parametrize("filler", [pytest.param("", id="bulk"), pytest.param("#\n", id="lines")])
+# Lines between header and edge: none keeps the chunk plain, for the bulk
+# path; a comment sends it to the line parser.
+HEADER_FILLERS = [pytest.param([], id="bulk"), pytest.param(["#\n"], id="lines")]
+
+
+@pytest.mark.parametrize("filler", HEADER_FILLERS)
 def test_header_n_up_to_max_n_parses(filler):
     assert MAX_N == 2**31
-    g = read_edge_list([f"{2**31} 1\n", filler, "0 2147483647 1.5\n"])
+    g = read_edge_list([f"{2**31} 1\n", *filler, "0 2147483647 1.5\n"])
     assert (g.n, list(g.u), list(g.v), list(g.w)) == (2**31, [0], [2**31 - 1], [1.5])
     for n in (2**31 + 1, 3_000_000_000, 10**30):
         with pytest.raises(EdgeListError, match=f"^line 1: n={n} exceeds the limit of {2**31}"):
-            read_edge_list([f"{n} 1\n", filler, "0 1 1.5\n"])
+            read_edge_list([f"{n} 1\n", *filler, "0 1 1.5\n"])
+
+
+@pytest.mark.parametrize("filler", HEADER_FILLERS)
+def test_header_m_up_to_max_n_parses(filler):
+    # Edge ids fill array('I') slots. A header of 2**31 edges passes the
+    # cap, and the file fails only for the edges it lacks.
+    last = 2 + len(filler)
+    with pytest.raises(EdgeListError, match=f"^line {last}: expected {2**31} edges, found only 1$"):
+        read_edge_list([f"2 {2**31}\n", *filler, "0 1 1.5\n"])
+    for m in (2**31 + 1, 10**30):
+        with pytest.raises(EdgeListError, match=f"^line 1: m={m} exceeds the limit of {2**31} edges$"):
+            read_edge_list([f"2 {m}\n", *filler, "0 1 1.5\n"])
 
 
 # Chunk sizes that split the file, and the default that does not.
@@ -304,7 +321,8 @@ def test_path_parse_never_grows_a_dict_of_every_vertex():
     # of vertices. A dict of all 65,536 vertices made the parse's transient
     # (peak minus retained) 3.6 MB under tracemalloc; the packed columns
     # leave only the chunk's own transient.
-    n = 2 * edgelist.TOKEN_CACHE_MAX_N
+    n = 1 << 16
+    assert n > edgelist.TOKEN_CACHE_MAX_N
     buf = io.StringIO()
     write_edge_list(gen_path(n, WeightDist.uniform(), seed=1), buf)
     lines = buf.getvalue().splitlines(keepends=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stratmst import graph
 from stratmst import (
     EdgeListError,
     EdgeRecord,
@@ -133,6 +134,17 @@ def test_graph_vertex_count_is_capped_at_max_n():
     for n in (2**31 + 1, 10**30):
         with pytest.raises(ValueError, match=f"vertex count must be at most {2**31}, got {n}"):
             GraphSpec.from_columns(n, [0], [1], [1.5])
+
+
+def test_graph_edge_count_is_capped_at_max_n(monkeypatch):
+    # Every edge id must fit the C unsigned int of an array('I'). Columns
+    # of 2**31 edges would take 48 GB as lists, so a cap of 3 stands in for
+    # MAX_N.
+    monkeypatch.setattr(graph, "MAX_N", 3)
+    g = GraphSpec.from_columns(2, [0, 1, 0], [1, 0, 1], [1.5, 2.5, 0.5])
+    assert (g.m, list(g.u)) == (3, [0, 1, 0])
+    with pytest.raises(ValueError, match="^edge count must be at most 3, got 4$"):
+        GraphSpec.from_columns(2, [0] * 4, [1] * 4, [1.5] * 4)
 
 
 def test_graph_reports_the_first_bad_edge_in_order():

@@ -1,5 +1,6 @@
 import math
 import random
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -24,7 +25,7 @@ from stratmst import (
     write_edge_list,
 )
 from stratmst.cli import main
-from stratmst.mst import SOLVERS
+from stratmst.mst import SOLVERS, Metrics, MstResult
 from stratmst.oracle import prim_dense
 from stratmst.validation import CLRS_EDGES
 
@@ -135,7 +136,7 @@ def test_empty_inputs_give_zero_result():
     loops = graph_from_edges(3, [(0, 0, 2.0), (2, 2, -1.0)])
     for run in (*ALGOS, prim_dense):
         res = run(loops)
-        assert (res.edge_ids, res.accepted_count) == ((), 0)
+        assert (tuple(res.edge_ids), res.accepted_count) == ((), 0)
         assert type(res.total_weight) is float and res.total_weight == 0.0
 
 
@@ -257,8 +258,8 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("name", [*sorted(SOLVERS), "component_count"])
 def test_solver_memory_follows_the_edges(name):
-    # One edge under a header of 10**6 vertices: the forest's 8-byte slots
-    # are all that grows with n, with no int object per vertex.
+    # One edge under a header of 10**6 vertices: the forest's 4-byte C-int
+    # slots are all that grows with n, with no int object per vertex.
     g = GraphSpec.from_columns(10**6, [0], [1], [1.0])
 
     def edges_or_components():
@@ -268,7 +269,18 @@ def test_solver_memory_follows_the_edges(name):
 
     count, _, peak = traced_memory(edges_or_components)
     assert count == (g.n - 1 if name == "component_count" else 1)
-    assert peak < 9_000_000
+    assert peak < 5_000_000
+
+
+def test_eds_memory_on_a_path_follows_the_vertices():
+    # A path accepts every edge it buckets. Packed buckets, forest and
+    # accepted ids keep about 11 B per vertex; an int object per id or per
+    # forest entry would add 28 B each.
+    n = 100_000
+    g = gen_path(n, WeightDist.uniform(), seed=1)
+    res, _, peak = traced_memory(lambda: kruskal_eds(g))
+    assert res.accepted_count == n - 1
+    assert peak < 16 * n
 
 
 def test_eds_makes_ids_only_for_the_edges_it_buckets():
@@ -278,6 +290,18 @@ def test_eds_makes_ids_only_for_the_edges_it_buckets():
     res, _, peak = traced_memory(lambda: kruskal_eds(g))
     assert res.metrics.partition_ops < g.m // 10
     assert peak < 500_000
+
+
+def test_results_hash_without_their_edge_ids():
+    # Two trees of one graph with the same total and metrics: equal only
+    # when their ids are. edge_ids, a mutable array, stays out of the hash.
+    g = graph_from_edges(2, [(0, 1, 2.0), (0, 1, 2.0)])
+    first, second = MstResult(g, [0], Metrics()), MstResult(g, (1,), Metrics())
+    assert (first.edge_ids.typecode, list(first.edge_ids)) == ("I", [0])
+    assert first == MstResult(g, array("I", [0]), Metrics())
+    assert first != second
+    assert hash(first) == hash(second)
+    assert len({first, second, MstResult(g, [0], Metrics())}) == 2
 
 
 def reference_kruskal(g):
@@ -363,6 +387,6 @@ def test_every_solver_accepts_the_reference_kruskal_ids(case, k):
         kruskal_eds(g, StrataParams(k=k, seed=5)),
         kruskal_eds(g, boundaries=cuts),
     ):
-        assert res.edge_ids == tuple(want)
+        assert tuple(res.edge_ids) == tuple(want)
         assert res.accepted_count == len(want)
         assert res.metrics.union_calls == scanned

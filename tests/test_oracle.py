@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,7 @@ def test_every_solver_and_oracle_gives_the_identical_total(case):
         prim_dense(g),
     ]
     for res in results:
+        assert type(res.edge_ids) is array and res.edge_ids.typecode == "I"
         assert list(res.edge_ids) == sorted(res.edge_ids, key=lambda i: (g.w[i], i))
     totals = [res.total_weight for res in results]
     if g.n <= 8 and g.m <= 14:
