@@ -13,7 +13,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from typing import IO, Iterator
+from functools import partial
+from typing import IO, Callable, Iterator
 
 from .edgelist import EdgeListError, load_edge_list, write_edge_list
 from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
@@ -44,18 +45,15 @@ def _parse_k(text: str) -> int | None:
     return k
 
 
-def _int_list(text: str) -> list[int]:
+def _list_of(convert: Callable[[str], float], noun: str, text: str) -> list[float]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        return [convert(part) for part in text.split(",") if part]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_int_list = partial(_list_of, int, "integers")
+_float_list = partial(_list_of, float, "numbers")
 
 
 class CliError(Exception):

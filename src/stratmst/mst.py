@@ -1,15 +1,16 @@
 """Minimum spanning tree and forest solvers with uniform instrumentation.
 
-Three interchangeable solvers feed their edges, in weight order, to the
-one greedy union-find scan, ``graph.kruskal_scan``:
+Every Kruskal solver runs through one driver, ``_kruskal``, that feeds
+weight strata lightest-first, each in (weight, id) order, to the one greedy
+union-find scan, ``graph.kruskal_scan``. The solvers differ in strata and
+order only:
 
-* ``kruskal_eds``  - sample, partition into weight strata (only the light
-  ones the forest is expected to need, unless it turns out to need more),
-  sort strata on demand, and stop the moment the spanning forest is
-  complete.
+* ``kruskal_eds``  - sample cut points, partition into weight strata (only
+  the light ones the forest is expected to need, unless it turns out to
+  need more), and sort each stratum when the scan reaches it.
 * ``kruskal_std``  - the baseline global sort: ``kruskal_eds`` with one
   stratum.
-* ``kruskal_heap`` - O(m) heapify, then lazy pops in weight order.
+* ``kruskal_heap`` - one stratum, ordered by an O(m) heapify and lazy pops.
 
 All three accept the same inputs (parallel edges, self-loops, negative
 weights, disconnected graphs) and produce identical accepted edge sets:
@@ -26,9 +27,9 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, repeat
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import EdgeRecord, GraphSpec, kruskal_scan
 from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
@@ -128,34 +129,17 @@ def kruskal_std(g: GraphSpec) -> MstResult:
 def kruskal_heap(g: GraphSpec) -> MstResult:
     """Heap-based Kruskal: heapify every edge, then pop lazily in weight order.
 
-    Pops stop once the spanning forest is complete; on disconnected input
-    the heap simply drains. ``sort_ops`` records the pops performed.
+    The shared driver with one stratum, ordered by the heap. Pops stop once
+    the spanning forest is complete; on disconnected input the heap simply
+    drains. ``sort_ops`` records the pops performed.
     """
-    if g.n <= 1 or g.m == 0:
-        return MstResult(g, (), Metrics())
-    t0 = time.perf_counter_ns()
-    heap = list(zip(g.w, range(g.m)))
-    heapq.heapify(heap)
-    t1 = time.perf_counter_ns()
-    accepted = array("I")
-    pops = kruskal_scan(
-        array("i", [-1]) * g.n,
-        g,
-        (heapq.heappop(heap)[1] for _ in range(g.m)),
-        accepted,
-        g.n - 1,
-    )
-    t2 = time.perf_counter_ns()
-    metrics = Metrics(
-        sort_ops=pops,
-        strata_processed=1,
-        strata_total=1,
-        sort_ns=t1 - t0,
-        scan_ns=t2 - t1,
-        union_calls=pops,
-        accepted_per_stratum=(len(accepted),),
-    )
-    return MstResult(g, accepted, metrics)
+    def pops(ids: Sequence[int]) -> Iterator[int]:
+        # Tuples compare by weight, then by id: the (weight, id) order.
+        heap = list(zip(map(g.w.__getitem__, ids), ids))
+        heapq.heapify(heap)
+        return (heapq.heappop(heap)[1] for _ in range(len(heap)))
+
+    return _kruskal(g, pops)
 
 
 def kruskal_eds(
@@ -172,10 +156,9 @@ def kruskal_eds(
     incomplete after them. Phase 3 sorts buckets lightest-first, feeding
     each through union-find, and returns the moment the spanning forest is
     complete, leaving heavier buckets unsorted. Disconnected inputs run
-    through every bucket and yield the minimum spanning forest. Buckets and
-    accepted ids are ``array('I')``s and the forest an ``array('i')``, 4
-    bytes per id or vertex; only the bucket being sorted and scanned is a
-    list of int objects.
+    through every bucket and yield the minimum spanning forest. Phases 2
+    and 3 are the shared driver ``_kruskal``; this function only decides
+    the cut points and sorts each bucket by weight.
 
     When the resolved stratum count is 1 (explicitly, or via the automatic
     fallback on small inputs) phases 1 and 2 are skipped entirely and the
@@ -187,39 +170,56 @@ def kruskal_eds(
     """
     if params is None:
         params = StrataParams()
+    weight = g.w.__getitem__
+    # Weight alone gives the (weight, id) order: the sort is stable and
+    # buckets hold ids in increasing order.
+    by_weight = partial(sorted, key=weight)
+    if boundaries is None and (k := params.resolve_k(g.m)) > 1:
+        return _kruskal(g, by_weight, phase1=partial(estimate_cuts, g.m, weight, k, params.seed))
+    return _kruskal(g, by_weight, boundaries.values if boundaries is not None else ())
+
+
+def _kruskal(
+    g: GraphSpec,
+    order: Callable[[Sequence[int]], Iterable[int]],
+    cuts: tuple[float, ...] = (),
+    phase1: Callable[[], Boundaries] | None = None,
+) -> MstResult:
+    """The one Kruskal driver: every solver's run after its choice of cuts.
+
+    A graph with one vertex or no edge returns zero ``Metrics`` before
+    anything runs. Otherwise ``phase1``, if given, is timed as phase 1 and
+    its cut points replace ``cuts``. Each bucket of ``_phase2_buckets`` is
+    put in (weight, id) order by ``order`` and fed to ``kruskal_scan``,
+    lightest first, until ``n - 1`` edges are accepted. A list from
+    ``order`` counts whole in ``sort_ops``; any other iterable is drawn
+    lazily by the scan and counts the ids scanned. The forest is an
+    ``array('i')`` and the accepted ids an ``array('I')``.
+    """
     if g.n <= 1 or g.m == 0:
         return MstResult(g, (), Metrics())
-    k = params.resolve_k(g.m)
-    weight = g.w.__getitem__
-
     t0 = t1 = time.perf_counter_ns()
-    if boundaries is None and k > 1:
-        boundaries = estimate_cuts(g.m, weight, k, params.seed)
+    if phase1 is not None:
+        cuts = phase1().values
         t1 = time.perf_counter_ns()
-    cuts = boundaries.values if boundaries is not None else ()
-
     parent = array("i", [-1]) * g.n
     accepted = array("I")
     target = g.n - 1
-    sort_ops = 0
-    strata_processed = 0
-    union_calls = 0
-    sort_ns = scan_ns = 0
+    sort_ops = strata_processed = union_calls = sort_ns = scan_ns = 0
     accepted_per = [0] * (len(cuts) + 1)
     phase2 = [0, 0]  # ids bucketed, nanoseconds spent bucketing
     for i, bucket in enumerate(_phase2_buckets(g, cuts, phase2)):
         strata_processed += 1
         t2 = time.perf_counter_ns()
-        # Weight alone gives the (weight, id) order: the sort is stable and
-        # buckets hold ids in increasing order.
-        ordered = sorted(bucket, key=weight)
+        ordered = order(bucket)
         t3 = time.perf_counter_ns()
-        sort_ops += len(ordered)
         before = len(accepted)
-        union_calls += kruskal_scan(parent, g, ordered, accepted, target)
-        accepted_per[i] = len(accepted) - before
+        scanned = kruskal_scan(parent, g, ordered, accepted, target)
         sort_ns += t3 - t2
         scan_ns += time.perf_counter_ns() - t3
+        sort_ops += len(ordered) if type(ordered) is list else scanned
+        union_calls += scanned
+        accepted_per[i] = len(accepted) - before
         if len(accepted) == target:
             break
     metrics = Metrics(

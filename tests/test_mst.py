@@ -140,6 +140,18 @@ def test_empty_inputs_give_zero_result():
         assert type(res.total_weight) is float and res.total_weight == 0.0
 
 
+@pytest.mark.parametrize("name", sorted(SOLVERS))
+def test_trivial_graphs_return_before_any_phase(name):
+    # 300 self-loops resolve auto k above 1: the return must come before
+    # phase 1 samples, so every timer and counter stays at zero.
+    loops = graph_from_edges(1, [(0, 0, float(w)) for w in range(300)])
+    assert StrataParams().resolve_k(loops.m) > 1
+    for g in (loops, GraphSpec(4, ())):
+        res = SOLVERS[name](g, StrataParams(seed=2))
+        assert tuple(res.edge_ids) == ()
+        assert res.metrics == Metrics()
+
+
 def test_self_loops_never_accepted():
     g = graph_from_edges(3, [(0, 0, 0.5), (0, 1, 1.0), (1, 1, 0.1), (1, 2, 2.0)])
     for run in ALGOS:
