@@ -12,25 +12,41 @@ iteration guarantees; any line may lack it.
 Edge lines are read in chunks of ``CHUNK_LINES``. A chunk of plain, valid
 ``u v w`` lines is converted column by column in bulk; any other chunk goes
 through the line-by-line parser, which skips comments and blank lines and
-raises every line-numbered error. Both use the same ``int`` and ``float``,
-so they accept the same inputs. The bulk path needs only that every line
-holds exactly two spaces: joined with ``" "`` and split on ``" "``, the
-chunk gives three fields per line, and no line runs into the next. A field
-may keep whitespace at its ends, such as a tab or ``"\\r\\n"``. ``int`` and
-``float`` strip only characters that ``str.split`` splits on and accept
-none inside a number, so a chunk that converts holds what the line parser
-reads; any other chunk, one with ``"\\x1c"``-``"\\x1f"`` (split on, never
-stripped) included, fails to convert and goes to the line parser. A chunk's
-lines, their joined text and its fields are dropped before the next chunk
-is read, so the chunk size, not the edge count, sets the parse's
-transient memory: about 1 MB at 4,096 lines of ``u v w`` (tracemalloc).
-Larger chunks only raise the peak; the parse is no faster with them. The
-columns are packed arrays, ``array('i')`` endpoints and ``array('d')``
-weights, filled as each chunk is taken, so only one chunk's int and float
-objects exist at a time and the graph keeps about 16 bytes per edge. A
-header's ``n`` or ``m`` above ``graph.MAX_N`` is rejected, so every
-endpoint fits an ``array('i')`` slot and every edge id an ``array('I')``
-slot.
+raises every line-numbered error. The bulk path needs only that every line
+holds exactly two spaces and no NUL. It proves that with one call: the
+chunk's lines, joined with ``"\\0"`` and encoded, keep only their spaces and
+NULs under ``bytes.translate``, and that must equal ``b"  \\0"`` repeated
+once per line but the last, then ``b"  "``. The NULs then become spaces, and
+a split on ``b" "`` gives three fields per line; no line runs into the next,
+whether or not it ends in ``"\\n"``. A field may keep whitespace at its
+ends, such as a tab or ``"\\r\\n"``. ``int`` and ``float`` take the bytes
+fields as they take ASCII text, so both parsers give the same numbers. On
+bytes they strip only ASCII whitespace, which ``str.split`` also splits on,
+and accept none inside a number, so a chunk that converts holds what the
+line parser reads. Any other chunk fails to convert and goes to the line
+parser: one with a NUL inside a line, with ``"\\x1c"``-``"\\x1f"`` (split
+on by ``str.split``, never stripped) or with any non-ASCII character (its
+UTF-8 bytes are neither digits nor whitespace). On files of the three
+perfbench sizes the one-call check and split took 31 / 60 / 27 ms in
+place of 47 / 94 / 43 ms for a per-line ``str.count`` and a ``str`` join
+and split (uniform / dense / path, 1,024-line chunks, medians of 7,
+Python 3.11.7, 2-vCPU Xeon).
+
+A chunk's lines, their joined bytes and its fields are dropped before the
+next chunk is read, so the chunk size, not the edge count, sets the
+parse's transient memory. At 1,024 lines of ``u v w`` the whole transient
+of a 2,000-vertex parse is about 420 kB under tracemalloc, most of it the
+token cache below, against about 1.2 MB at 4,096 lines. ``stratmst mst``
+peaked 0.8-1.2 MB higher with 4,096-line chunks on the same files,
+0.4 MB higher with 2,048, and within 0.3 MB of 1,024 with 256 or 512
+lines, which were no faster. The columns are packed arrays: endpoints in
+``array('H')`` up to 65,536 vertices and ``array('i')`` above
+(``graph._endpoint_typecode``), weights in ``array('d')``. They are filled
+as each chunk is taken, so only one chunk's int and float objects exist at
+a time, and the graph keeps about 12 bytes per edge (16 above 65,536
+vertices). A header's ``n`` or ``m`` above ``graph.MAX_N`` is rejected, so
+every endpoint fits an ``array('i')`` slot and every edge id an
+``array('I')`` slot.
 
 When the header's ``n`` is at most ``TOKEN_CACHE_MAX_N``, the reader keeps
 every endpoint token it has converted, so a vertex spelled the same way
@@ -38,19 +54,22 @@ again costs a dict lookup instead of an ``int`` call. The gate reads ``n``
 alone and does not follow the chunk size: with more vertices, a chunk is
 likelier to hold a token not yet seen, and it then pays for a failed
 lookup as well as the ``int`` calls. Loads of uniform random files, cache
-on against off (in-process medians of 9 interleaved runs, Python 3.11.7,
-2-vCPU Xeon), put the crossover between n = 8,192 and 12,288, rising
+on against off, with bytes tokens and 1,024-line chunks (in-process
+medians of 9 interleaved runs, Python 3.11.7, 2-vCPU Xeon; a range is two
+or three sweeps), put the crossover between n = 12,288 and 16,384, rising
 slowly with m:
 
-    n        m = 50k   m = 200k   m = 400k   (load time, on / off)
-    4,096    0.86      0.86       0.93
-    8,192    0.97      0.96       0.94
-    10,240   1.05      0.96       0.98
-    12,288   1.04      1.18       0.95
+    n        m = 50k     m = 200k    m = 400k    (load time, on / off)
+    1,024    0.81        0.80        0.80
+    4,096    0.90        0.86        0.81
+    8,192    0.93-0.95   0.85-0.93   0.85-0.87
+    10,240   0.97        0.91        0.86-0.89
+    12,288   0.96-1.01   0.89-1.14   0.88-0.92
+    16,384   1.07        0.99        0.93
+    24,000   1.20        1.00        1.00
 
-An earlier sweep gave 1.13, 1.00 and 1.04 at n = 16,000, and 1.25, 1.20
-and 1.24 at n = 24,000. The gate sits at the low end of the crossover, so
-that the cache never costs on the sizes measured.
+The gate sits at 10,240, the largest n measured where the cache never
+cost in any sweep.
 """
 
 from __future__ import annotations
@@ -58,13 +77,13 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from itertools import islice, repeat
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
-from .graph import MAX_N, GraphSpec
+from .graph import MAX_N, GraphSpec, _endpoint_typecode
 
-CHUNK_LINES = 1 << 12
-TOKEN_CACHE_MAX_N = 1 << 13
+CHUNK_LINES = 1 << 10
+TOKEN_CACHE_MAX_N = 10_240
 
 
 class EdgeListError(ValueError):
@@ -82,15 +101,22 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield no, text
 
 
-def _plain_fields(chunk: list[str]) -> list[str] | None:
-    """Three fields per line of a chunk whose lines all hold exactly two
-    spaces, split on ``" "`` alone; else None."""
-    if set(map(str.count, chunk, repeat(" "))) != {2}:
+# Every byte but the space and the NUL: deleting them leaves a chunk's shape.
+_NOT_SHAPE = bytes(b for b in range(256) if b not in b" \0")
+
+
+def _plain_fields(chunk: list[str]) -> list[bytes] | None:
+    """Three fields per line, as bytes, of a chunk whose lines all hold
+    exactly two spaces and no NUL, split on ``b" "`` alone; else None."""
+    # "surrogatepass": a lone surrogate, which a list of str may hold, gives
+    # bytes that fail to convert instead of an encoding error.
+    data = "\0".join(chunk).encode("utf-8", "surrogatepass")
+    if data.translate(None, _NOT_SHAPE) != b"  \0" * (len(chunk) - 1) + b"  ":
         return None
-    return " ".join(chunk).split(" ")
+    return data.replace(b"\0", b" ").split(b" ")
 
 
-def _endpoints(col: list[str], n: int, tokens: dict[str, int] | None) -> list[int]:
+def _endpoints(col: list[bytes], n: int, tokens: dict[bytes, int] | None) -> list[int]:
     """The vertex of each token; ValueError if one is not a vertex."""
     if tokens is not None:
         try:
@@ -112,7 +138,7 @@ def _take_bulk(
     u: array[int],
     v: array[int],
     w: array[float],
-    tokens: dict[str, int] | None,
+    tokens: dict[bytes, int] | None,
 ) -> bool:
     """Append a chunk of plain ``u v w`` lines to the columns in bulk.
 
@@ -121,7 +147,7 @@ def _take_bulk(
     stays within ``m``. Each column of the chunk is converted to a list of
     ints or floats, then packed onto its array by ``struct.pack``: about
     twice as fast as ``fromlist`` and four times as fast as ``extend`` on a
-    4,096-item chunk. The chunk's int and float objects go with the chunk.
+    1,024-item chunk. The chunk's int and float objects go with the chunk.
     ``tokens``, when given, maps each endpoint token already converted to
     its int; it only ever holds in-range vertices.
     """
@@ -136,8 +162,8 @@ def _take_bulk(
         return False
     if not all(map(math.isfinite, cw)):
         return False
-    u.frombytes(struct.pack(f"{k}i", *cu))
-    v.frombytes(struct.pack(f"{k}i", *cv))
+    u.frombytes(struct.pack(f"{k}{u.typecode}", *cu))
+    v.frombytes(struct.pack(f"{k}{v.typecode}", *cv))
     w.frombytes(struct.pack(f"{k}d", *cw))
     return True
 
@@ -203,10 +229,11 @@ def read_edge_list(stream: Iterable[str]) -> GraphSpec:
     if m > MAX_N:
         raise EdgeListError(last_no, f"m={m} exceeds the limit of {MAX_N} edges")
 
-    u = array("i")
-    v = array("i")
+    typecode = _endpoint_typecode(n)
+    u = array(typecode)
+    v = array(typecode)
     w = array("d")
-    tokens: dict[str, int] | None = {} if n <= TOKEN_CACHE_MAX_N else None
+    tokens: dict[bytes, int] | None = {} if n <= TOKEN_CACHE_MAX_N else None
     no = last_no
     while chunk := list(islice(stream, CHUNK_LINES)):
         if _take_bulk(chunk, n, m, u, v, w, tokens):

@@ -17,12 +17,21 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 # Vertices and edge ids are 0..MAX_N-1, so every endpoint fits the C int of
-# an array('i'), and every id the C unsigned int of an array('I'). The
-# solvers keep ids in 'I' arrays because ids are never negative and CPython
-# stores an 'I' item without the format-string parse it uses for 'i': an
-# append took 62 against 92 ns (Python 3.11.7, 2-vCPU Xeon). The forest
-# stays 'i', for its negative roots.
+# an array('i'), and every id the C unsigned int of an array('I'). A graph of
+# at most 65,536 vertices keeps its endpoints in the C unsigned shorts of an
+# array('H') instead (see ``_endpoint_typecode``), so with its 'd' weights it
+# costs about 12 B per edge rather than 16. The solvers keep ids in 'I'
+# arrays because ids are never negative and CPython stores an 'I' item
+# without the format-string parse it uses for 'i': an append took 62 against
+# 92 ns (Python 3.11.7, 2-vCPU Xeon). The forest stays 'i', for its negative
+# roots.
 MAX_N = 1 << 31
+
+
+def _endpoint_typecode(n: int) -> str:
+    """The array typecode of the endpoint columns of a graph of ``n`` vertices:
+    ``'H'`` when every vertex is below 65,536, else ``'i'``."""
+    return "H" if n <= 1 << 16 else "i"
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,13 +68,14 @@ class GraphSpec:
     """Vertex count plus three parallel edge columns; the edge id is the index.
 
     Edge ``i`` joins ``u[i]`` and ``v[i]`` with weight ``w[i]``. The endpoint
-    columns are ``array('i')``, and the solvers keep edge ids in
-    ``array('I')``s, so ``n`` and ``m`` are each at most ``MAX_N``. ``w``
-    is an ``array('d')`` whenever every weight is a ``float``, the same
-    doubles the floats held. A column that holds any other weight, such as
-    an int, stays a list, so that it still compares exactly. ``_assign``
-    makes both choices for every constructor. A graph of float weights thus
-    keeps about 16 bytes per edge and no int or float object per edge. A bound
+    columns are ``array('H')`` up to 65,536 vertices and ``array('i')``
+    above, and the solvers keep edge ids in ``array('I')``s, so ``n`` and
+    ``m`` are each at most ``MAX_N``. ``w`` is an ``array('d')`` whenever
+    every weight is a ``float``, the same doubles the floats held. A column
+    that holds any other weight, such as an int, stays a list, so that it
+    still compares exactly. ``_assign`` makes these choices for every
+    constructor. A graph of float weights thus keeps about 12 bytes per edge
+    (16 above 65,536 vertices) and no int or float object per edge. A bound
     ``array.__getitem__`` is as fast a sort key as a list's: the 129 buckets
     of a 200k-edge path sorted in 52-65 ms with either (medians of 9 runs,
     Python 3.11, 2-vCPU Xeon). The columns are never mutated after
@@ -163,7 +173,8 @@ class GraphSpec:
 
     def _assign(self, n: int, u: Sequence[int], v: Sequence[int], w: Sequence[float]) -> None:
         if type(u) is not array:
-            u, v = array("i", u), array("i", v)
+            typecode = _endpoint_typecode(n)
+            u, v = array(typecode, u), array(typecode, v)
         if type(w) is not array and {*map(type, w)} <= {float}:
             w = array("d", w)
         object.__setattr__(self, "n", n)
