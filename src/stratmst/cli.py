@@ -1,14 +1,13 @@
 """Command-line interface: graph generation, MST solving, validation, benchmarks.
 
 The report harness (``bench``, ``validation``) is imported inside the
-commands that use it, so ``stratmst mst`` and ``stratmst gen`` do not load it.
+commands that use it, and ``json`` inside the code that writes it, so
+``stratmst gen`` and ``stratmst mst`` without ``--metrics`` load neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 import time
@@ -135,7 +134,9 @@ def cmd_mst(args: argparse.Namespace) -> int:
     res = SOLVERS[args.algo](g, StrataParams(k=args.k, seed=args.seed))
     print(f"{res.total_weight:.4f} {res.accepted_count}")
     if args.metrics:
-        payload = dataclasses.asdict(res.metrics)
+        import json
+
+        payload = res.metrics._asdict()
         payload["load_ns"] = load_ns
         if (peak := _peak_rss_kb()) is not None:
             payload["peak_rss_kb"] = peak
@@ -187,6 +188,8 @@ def cmd_sweep_k(args: argparse.Namespace) -> int:
 
 
 def _write_sidecar(out: str | None, metadata: dict) -> None:
+    import json
+
     text = json.dumps(metadata, indent=2)
     if out is None:
         print(text, file=sys.stderr)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import GraphSpec
 
@@ -15,8 +15,7 @@ CLUSTER_WEIGHT_FLOOR = 0.001
 DEFAULT_MASTER_SEED = 7
 
 
-@dataclass(frozen=True)
-class WeightDist:
+class WeightDist(NamedTuple):
     """A weight sampler; build one through the factory classmethods."""
 
     kind: str

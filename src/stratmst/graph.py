@@ -11,10 +11,9 @@ import math
 import operator
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 # Vertices and edge ids are 0..MAX_N-1, so every endpoint fits the C int of
 # an array('i'), and every id the C unsigned int of an array('I'). A graph of
@@ -34,8 +33,30 @@ def _endpoint_typecode(n: int) -> str:
     return "H" if n <= 1 << 16 else "i"
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeRecord:
+class _Frozen:
+    """Base of the package's immutable ``__slots__`` classes. Their
+    constructors set each field with ``object.__setattr__``; assigning or
+    deleting a field afterwards raises ``AttributeError``, so ``pickle`` and
+    ``copy`` save and restore the fields through ``__getstate__`` and
+    ``__setstate__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict[str, object]:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class EdgeRecord(NamedTuple):
     """Undirected weighted edge; ``id`` is the edge's position in the input sequence."""
 
     u: int
@@ -63,8 +84,7 @@ class EdgeView(Sequence[EdgeRecord]):
         return map(EdgeRecord, self._u, self._v, self._w, count())
 
 
-@dataclass(frozen=True, init=False)
-class GraphSpec:
+class GraphSpec(_Frozen):
     """Vertex count plus three parallel edge columns; the edge id is the index.
 
     Edge ``i`` joins ``u[i]`` and ``v[i]`` with weight ``w[i]``. The endpoint
@@ -86,8 +106,10 @@ class GraphSpec:
     the solvers rely on, so they are rejected here, at construction. So are
     an ``n`` or endpoint that is not an integer (for ``operator.index``), or
     an endpoint outside ``range(n)``: the solvers index the forest with them.
+    Two graphs are equal when all four fields are; a graph is unhashable.
     """
 
+    __slots__ = ("n", "u", "v", "w")
     n: int
     u: array[int]
     v: array[int]
@@ -181,6 +203,14 @@ class GraphSpec:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.u, self.v, self.w) == (other.n, other.u, other.v, other.w)
+
+    def __repr__(self) -> str:
+        return f"GraphSpec(n={self.n!r}, u={self.u!r}, v={self.v!r}, w={self.w!r})"
 
     @property
     def m(self) -> int:

@@ -26,17 +26,15 @@ import math
 import operator
 import time
 from array import array
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph import EdgeRecord, GraphSpec, kruskal_scan
+from .graph import EdgeRecord, GraphSpec, _Frozen, kruskal_scan
 from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Per-run instrumentation.
 
     ``sort_ops`` counts edges that passed through a sort, summed over every
@@ -67,8 +65,7 @@ class Metrics:
     accepted_per_stratum: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class MstResult:
+class MstResult(_Frozen):
     """Accepted edges of a minimum spanning forest plus run metrics.
 
     Built as ``MstResult(graph, edge_ids, metrics)`` by every solver and
@@ -80,6 +77,7 @@ class MstResult:
     Never mutate it. Two results are equal when their ``edge_ids``,
     ``metrics`` and ``total_weight`` are; since an array is unhashable,
     ``hash`` leaves ``edge_ids`` out, which equal results still agree on.
+    ``graph`` takes no part in either, nor in the repr.
     ``total_weight`` is derived at construction: their weights
     summed in that order from ``0.0``, so it is a float even when nothing is
     accepted. All minimum spanning forests of a graph share one multiset of
@@ -88,34 +86,55 @@ class MstResult:
     ``EdgeRecord``s from ``graph`` on first access.
     """
 
-    graph: GraphSpec = field(repr=False, compare=False)
-    edge_ids: array[int] = field(hash=False)
+    __slots__ = ("graph", "edge_ids", "metrics", "total_weight", "_edges")
+    graph: GraphSpec
+    edge_ids: array[int]
     metrics: Metrics
-    total_weight: float = field(init=False)
+    total_weight: float
 
-    def __post_init__(self) -> None:
-        ids = self.edge_ids
-        if type(ids) is not array or ids.typecode != "I":
-            ids = array("I", ids)
-            object.__setattr__(self, "edge_ids", ids)
-        object.__setattr__(self, "total_weight", sum(map(self.graph.w.__getitem__, ids), 0.0))
+    def __init__(self, graph: GraphSpec, edge_ids: Iterable[int], metrics: Metrics) -> None:
+        if type(edge_ids) is not array or edge_ids.typecode != "I":
+            edge_ids = array("I", edge_ids)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "edge_ids", edge_ids)
+        object.__setattr__(self, "metrics", metrics)
+        object.__setattr__(self, "total_weight", sum(map(graph.w.__getitem__, edge_ids), 0.0))
+        object.__setattr__(self, "_edges", None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.edge_ids, self.metrics, self.total_weight) == (
+            other.edge_ids, other.metrics, other.total_weight
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.metrics, self.total_weight))
+
+    def __repr__(self) -> str:
+        return (
+            f"MstResult(edge_ids={self.edge_ids!r}, metrics={self.metrics!r}, "
+            f"total_weight={self.total_weight!r})"
+        )
 
     @property
     def accepted_count(self) -> int:
         return len(self.edge_ids)
 
-    @cached_property
+    @property
     def edges(self) -> tuple[EdgeRecord, ...]:
-        g = self.graph
-        ids = self.edge_ids
-        records = map(
-            EdgeRecord,
-            map(g.u.__getitem__, ids),
-            map(g.v.__getitem__, ids),
-            map(g.w.__getitem__, ids),
-            ids,
-        )
-        return tuple(records)
+        if self._edges is None:
+            g = self.graph
+            ids = self.edge_ids
+            records = map(
+                EdgeRecord,
+                map(g.u.__getitem__, ids),
+                map(g.v.__getitem__, ids),
+                map(g.w.__getitem__, ids),
+                ids,
+            )
+            object.__setattr__(self, "_edges", tuple(records))
+        return self._edges
 
 
 def kruskal_std(g: GraphSpec) -> MstResult:

@@ -13,13 +13,13 @@ up front.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .graph import EdgeRecord
+from .graph import EdgeRecord, _Frozen
 
 # Below this edge count a single global sort beats sampling + partitioning.
 MIN_EDGES_FOR_STRATA = 200
@@ -60,34 +60,59 @@ def expected_strata(n: int, m: int, k: int) -> float:
     return k * min(1.0, n * math.log(n) / (2 * m))
 
 
-@dataclass(frozen=True)
-class StrataParams:
-    """Stratification knobs: explicit stratum count (None = automatic) and PRNG seed."""
-
+class _StrataParamsFields(NamedTuple):
     k: int | None = None
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if self.k is not None and self.k < 1:
-            raise ValueError(f"stratum count must be >= 1, got {self.k}")
+
+class StrataParams(_StrataParamsFields):
+    """Stratification knobs: explicit stratum count (None = automatic) and PRNG seed.
+
+    ``k``, when given, must be an integer (for ``operator.index``) of at
+    least 1, or construction raises ``ValueError``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k: int | None = None, seed: int = 0) -> StrataParams:
+        if k is not None:
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise ValueError(f"stratum count must be an integer, got {k!r}") from None
+            if k < 1:
+                raise ValueError(f"stratum count must be >= 1, got {k}")
+        return super().__new__(cls, k, seed)
 
     def resolve_k(self, m: int) -> int:
         return self.k if self.k is not None else optimal_k(m)
 
 
-@dataclass(frozen=True)
-class Boundaries:
+class Boundaries(_Frozen):
     """Strictly increasing cut points; empty means a single stratum (global sort)."""
 
-    values: tuple[float, ...] = ()
+    __slots__ = ("values",)
+    values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        for i, b in enumerate(self.values):
+    def __init__(self, values: Iterable[float] = ()) -> None:
+        values = tuple(values)
+        for i, b in enumerate(values):
             if not math.isfinite(b):
                 raise ValueError(f"boundary {i} is not finite: {b!r}")
-            if i > 0 and self.values[i - 1] >= b:
+            if i > 0 and values[i - 1] >= b:
                 raise ValueError("boundaries must be strictly increasing")
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"Boundaries(values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.values)

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from importlib.util import find_spec
 
 import pytest
@@ -91,8 +90,8 @@ def test_mst_metrics_json(clrs_file, capsys):
     err = capsys.readouterr().err
     payload = json.loads(err)
     # Peak RSS comes from the resource module, which Windows lacks.
-    cli_fields = {"load_ns"} | ({"peak_rss_kb"} if find_spec("resource") else set())
-    assert set(payload) == {f.name for f in fields(Metrics)} | cli_fields
+    cli_fields = ["load_ns", *(["peak_rss_kb"] if find_spec("resource") else [])]
+    assert list(payload) == [*Metrics._fields, *cli_fields]
     assert payload["sort_ops"] <= 14
     for name in cli_fields:
         assert type(payload[name]) is int and payload[name] > 0
@@ -231,13 +230,21 @@ def test_package_root_is_the_solver_api():
 
 def test_cli_mst_leaves_the_report_harness_unloaded(clrs_file):
     # The CLI counterpart of the test above: neither importing the CLI nor
-    # running ``mst`` loads the report harness.
+    # running ``mst`` loads the report harness. Nor ``dataclasses``, which
+    # pulls in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``),
+    # about 1 MB that no ``mst`` run needs, nor ``json`` without
+    # ``--metrics``. Only modules the bare interpreter had not loaded count,
+    # so ``site`` and ``.pth`` preloads do not.
     probe = (
-        "import sys, stratmst.cli\n"
-        "harness = ('stratmst.bench', 'stratmst.validation')\n"
-        "print(sorted(m for m in harness if m in sys.modules))\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import stratmst.cli\n"
+        "unneeded = ('stratmst.bench', 'stratmst.validation', 'dataclasses', 'inspect', 'json')\n"
+        "def loaded():\n"
+        "    return sorted(m for m in unneeded if m in sys.modules and m not in bare)\n"
+        "print(loaded())\n"
         "rc = stratmst.cli.main(sys.argv[1:])\n"
-        "print(rc, sorted(m for m in harness if m in sys.modules))\n"
+        "print(rc, loaded())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, "mst", "--input", str(clrs_file)],

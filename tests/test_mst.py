@@ -1,7 +1,7 @@
 import math
+import pickle
 import random
 from array import array
-from dataclasses import fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -118,7 +118,7 @@ def test_timing_fields_are_nonnegative_ints(name):
     # Timings are machine-specific: only their presence and type are checked.
     g = gen_random(200, 3000, WeightDist.uniform(), 4)
     metrics = SOLVERS[name](g, StrataParams(seed=4)).metrics
-    timings = {f.name: getattr(metrics, f.name) for f in fields(metrics) if f.name.endswith("_ns")}
+    timings = {field: getattr(metrics, field) for field in metrics._fields if field.endswith("_ns")}
     assert set(timings) == {"phase1_ns", "phase2_ns", "sort_ns", "scan_ns"}
     assert all(type(t) is int and t >= 0 for t in timings.values())
 
@@ -247,13 +247,13 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
     with open(path, "w") as stream:
         write_edge_list(g, stream)
     built = []
-    init = EdgeRecord.__init__
+    new = EdgeRecord.__new__
 
-    def counting_init(self, *args):
+    def counting_new(cls, *args):
         built.append(args)
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(EdgeRecord, "__init__", counting_init)
+    monkeypatch.setattr(EdgeRecord, "__new__", counting_new)
     for k in ("auto", "1", "7"):
         assert main(["mst", "--input", str(path), "--k", k]) == 0
     results = [solve(g, StrataParams()) for solve in SOLVERS.values()]
@@ -314,6 +314,28 @@ def test_results_hash_without_their_edge_ids():
     assert first != second
     assert hash(first) == hash(second)
     assert len({first, second, MstResult(g, [0], Metrics())}) == 2
+
+
+def test_value_types_keep_their_reprs_and_read_only_fields():
+    g = graph_from_edges(2, [(0, 1, 2.0)])
+    res = MstResult(g, [0], Metrics())
+    assert repr(g) == "GraphSpec(n=2, u=array('H', [0]), v=array('H', [1]), w=array('d', [2.0]))"
+    assert repr(res) == f"MstResult(edge_ids=array('I', [0]), metrics={Metrics()!r}, total_weight=2.0)"
+    assert repr(res.edges[0]) == "EdgeRecord(u=0, v=1, weight=2.0, id=0)"
+    assert repr(Boundaries([1.0])) == "Boundaries(values=(1.0,))"
+    assert repr(StrataParams(k=2)) == "StrataParams(k=2, seed=0)"
+    assert repr(WeightDist.pareto()) == "WeightDist(kind='pareto', params=(1.5, 1.0))"
+    assert Boundaries([1.0]) == Boundaries((1.0,)) and len(Boundaries([1.0, 2.0])) == 2
+    assert hash(Boundaries([1.0])) == hash(Boundaries((1.0,)))
+    with pytest.raises(TypeError):
+        hash(g)
+    for value, name in [
+        (g, "n"), (res, "metrics"), (res.metrics, "sort_ops"), (res.edges[0], "u"),
+        (Boundaries(), "values"), (StrataParams(), "k"), (WeightDist.uniform(), "kind"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def reference_kruskal(g):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -37,6 +38,10 @@ def test_optimal_k_values():
 def test_strata_params_validation():
     with pytest.raises(ValueError):
         StrataParams(k=0)
+    for k in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {k!r}")):
+            StrataParams(k=k)
+    assert StrataParams(k=True).resolve_k(10**6) == 1
     assert StrataParams(k=3).resolve_k(10**6) == 3
     assert StrataParams().resolve_k(600) == 10
     assert StrataParams().resolve_k(50) == 1
