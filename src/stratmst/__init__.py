@@ -7,11 +7,11 @@ report harness (``stratmst.bench``, ``stratmst.validation``) and the
 record-based strata adapters (``stratmst.strata``) are imported from their
 modules, so ``import stratmst`` does not load them.
 
-The modules the root imports declare no dataclass: ``dataclasses`` imports
+No module of the package declares a dataclass: ``dataclasses`` imports
 ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``, about 1 MB
-resident in every ``stratmst mst`` process. Plain records are
-``NamedTuple``s; validated types are ``__slots__`` classes, or
-``NamedTuple``s with a validating ``__new__``.
+resident in any process that loads them. Plain records, the report rows
+included, are ``NamedTuple``s; validated types are ``__slots__`` classes,
+or ``NamedTuple``s with a validating ``__new__``.
 """
 
 from .edgelist import EdgeListError, load_edge_list, read_edge_list, write_edge_list

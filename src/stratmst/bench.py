@@ -5,10 +5,10 @@ which is machine-independent; wall-clock columns are emitted for human
 inspection only. Seeds derive from a master seed by hashing labels, so runs
 are reproducible while trials stay decorrelated.
 
-Each report row is a frozen dataclass whose fields, in order, are its CSV
-columns; ``write_csv`` takes the header from the dataclass, so a column is
-declared once. Summaries iterate ``mst.SOLVERS``, with ``std`` as the
-speedup base, so a new solver needs no new report field.
+Each report row is a ``NamedTuple`` whose fields, in order, are its CSV
+columns; ``write_csv`` takes the header from the row type's ``_fields``,
+so a column is declared once. Summaries iterate ``mst.SOLVERS``, with
+``std`` as the speedup base, so a new solver needs no new report field.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import csv
 import hashlib
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec
@@ -40,8 +39,7 @@ def derive_seed(master: int, *parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     """One benchmark configuration: a labelled graph family instance."""
 
     label: str
@@ -90,8 +88,7 @@ DEFAULT_SUITE: tuple[SuiteConfig, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(NamedTuple):
     """One (configuration, algorithm, trial) measurement."""
 
     graph: str
@@ -109,7 +106,7 @@ class BenchRecord:
     mst_edges: int
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(BenchRecord))
+RECORD_FIELDS = BenchRecord._fields
 
 
 def run_suite(
@@ -152,8 +149,7 @@ def run_suite(
     return records
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
+class SuiteSummary(NamedTuple):
     """Per-configuration medians over trials, with the eds ops ratio.
 
     ``time_ns`` maps every solver, in ``SOLVERS`` order, to its median
@@ -203,8 +199,7 @@ def summarize(records: Sequence[BenchRecord]) -> list[SuiteSummary]:
     return summaries
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     """Median EDS measurements at one stratum count."""
 
     k: int
@@ -247,6 +242,14 @@ def sweep_k(
     return points
 
 
+class ProfileRow(NamedTuple):
+    """One stratum's share of the accepted edges; ``strata_profile``'s
+    fractions, enumerated, are the rows."""
+
+    stratum: int
+    fraction: float
+
+
 def strata_profile(g: GraphSpec, k: int, seed: int) -> tuple[float, ...]:
     """Fraction of the accepted spanning-forest edges each stratum contributed
     in one seeded run; empty when no edge was accepted."""
@@ -257,8 +260,7 @@ def strata_profile(g: GraphSpec, k: int, seed: int) -> tuple[float, ...]:
     return tuple(c / total for c in res.metrics.accepted_per_stratum)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (density, skew) cell; ops_ratio is None when m < n-1 is infeasible."""
 
     density: float
@@ -332,14 +334,8 @@ def grid_metadata(
     }
 
 
-def write_csv(row_type: type, rows: Iterable[object], stream: IO[str]) -> None:
-    """Write dataclass rows as CSV; the header is ``row_type``'s field names."""
+def write_csv(row_type: type[tuple], rows: Iterable[tuple], stream: IO[str]) -> None:
+    """Write rows as CSV; the header is ``row_type._fields``."""
     writer = csv.writer(stream)
-    writer.writerow(f.name for f in fields(row_type))
-    writer.writerows(astuple(row) for row in rows)
-
-
-def write_profile_csv(fractions: Sequence[float], stream: IO[str]) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["stratum", "fraction"])
-    writer.writerows(enumerate(fractions))
+    writer.writerow(row_type._fields)
+    writer.writerows(rows)

@@ -204,7 +204,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     profile = bench.strata_profile(g, args.k, args.seed)
     with _open_out(args.out) as stream:
-        bench.write_profile_csv(profile, stream)
+        bench.write_csv(bench.ProfileRow, enumerate(profile), stream)
     _write_sidecar(
         args.out,
         {"input": args.input, "k": args.k, "seed": args.seed,

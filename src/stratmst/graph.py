@@ -90,20 +90,21 @@ class GraphSpec(_Frozen):
     Edge ``i`` joins ``u[i]`` and ``v[i]`` with weight ``w[i]``. The endpoint
     columns are ``array('H')`` up to 65,536 vertices and ``array('i')``
     above, and the solvers keep edge ids in ``array('I')``s, so ``n`` and
-    ``m`` are each at most ``MAX_N``. ``w`` is an ``array('d')`` whenever
-    every weight is a ``float``, the same doubles the floats held. A column
-    that holds any other weight, such as an int, stays a list, so that it
-    still compares exactly. ``_assign`` makes these choices for every
-    constructor. A graph of float weights thus keeps about 12 bytes per edge
-    (16 above 65,536 vertices) and no int or float object per edge. A bound
+    ``m`` are each at most ``MAX_N``. ``w`` is always an ``array('d')``:
+    ``_assign`` packs every column that is not one already, converting
+    each weight as ``array('d')`` does (an int or ``Fraction`` is rounded
+    to the nearest double, so ints stay exact up to 2**53). A graph thus
+    keeps about 12 bytes per edge (16 above 65,536 vertices) and no int or
+    float object per edge. A bound
     ``array.__getitem__`` is as fast a sort key as a list's: the 129 buckets
     of a 200k-edge path sorted in 52-65 ms with either (medians of 9 runs,
     Python 3.11, 2-vCPU Xeon). The columns are never mutated after
     construction. The solvers read them directly; ``edges`` presents them
     as ``EdgeRecord``s, built only when read.
     Parallel edges, self-loops and disconnected graphs are all legal input.
-    Weights must be finite: NaN or infinite weights break the total order
-    the solvers rely on, so they are rejected here, at construction. So are
+    Weights must be finite doubles: NaN or infinite weights break the total
+    order the solvers rely on, so they are rejected here, at construction,
+    as is a weight that does not convert to a double. So are
     an ``n`` or endpoint that is not an integer (for ``operator.index``), or
     an endpoint outside ``range(n)``: the solvers index the forest with them.
     Two graphs are equal when all four fields are; a graph is unhashable.
@@ -113,7 +114,7 @@ class GraphSpec(_Frozen):
     n: int
     u: array[int]
     v: array[int]
-    w: array[float] | list[float]
+    w: array[float]
 
     def __init__(self, n: int, edges: Iterable[EdgeRecord]) -> None:
         """Build from edge records whose ids must equal their positions."""
@@ -138,7 +139,7 @@ class GraphSpec(_Frozen):
 
     @classmethod
     def _from_checked_columns(
-        cls, n: int, u: array[int], v: array[int], w: array[float] | list[float]
+        cls, n: int, u: array[int], v: array[int], w: array[float]
     ) -> GraphSpec:
         """Adopt already-checked columns without copying or re-checking them."""
         g = cls.__new__(cls)
@@ -169,11 +170,16 @@ class GraphSpec(_Frozen):
         # One bulk pass decides; only a bad graph pays for the per-edge scan
         # that names its first bad edge, checked in the order listed here.
         # Endpoints that are ints only through ``__index__``, such as numpy
-        # ints, pass the scan.
+        # ints, pass the scan. ``math.isfinite`` converts a weight as
+        # ``array('d')`` will, and raises for one that does not convert.
+        try:
+            finite = all(map(math.isfinite, w))
+        except (TypeError, OverflowError):
+            finite = False
         if not (
             {*map(type, u), *map(type, v)} <= {int}
             and (m == 0 or (0 <= min(u) and max(u) < n and 0 <= min(v) and max(v) < n))
-            and all(map(math.isfinite, w))
+            and finite
             and (ids is None or ids == list(range(m)))
         ):
             for pos in range(m):
@@ -187,7 +193,13 @@ class GraphSpec(_Frozen):
                     raise ValueError(
                         f"edge {pos}: endpoints ({u[pos]}, {v[pos]}) out of range for n={n}"
                     )
-                if not math.isfinite(w[pos]):
+                try:
+                    finite = math.isfinite(w[pos])
+                except (TypeError, OverflowError):
+                    raise ValueError(
+                        f"edge {pos}: weight {w[pos]!r} does not convert to a double"
+                    ) from None
+                if not finite:
                     raise ValueError(f"edge {pos}: weight {w[pos]!r} is not finite")
                 if ids is not None and ids[pos] != pos:
                     raise ValueError(f"edge {pos}: id {ids[pos]} does not match its position")
@@ -197,7 +209,7 @@ class GraphSpec(_Frozen):
         if type(u) is not array:
             typecode = _endpoint_typecode(n)
             u, v = array(typecode, u), array(typecode, v)
-        if type(w) is not array and {*map(type, w)} <= {float}:
+        if type(w) is not array:
             w = array("d", w)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "u", u)
@@ -229,7 +241,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> GraphSp
     for a, b, x in edges:
         u.append(a)
         v.append(b)
-        w.append(float(x))
+        w.append(x)
     return GraphSpec.from_columns(n, u, v, w)
 
 

@@ -259,7 +259,7 @@ def _kruskal(
 def _phase2_buckets(
     g: GraphSpec, cuts: tuple[float, ...], work: list[int]
 ) -> Iterator[Sequence[int]]:
-    """Yield the buckets of ``partition_ids(g.w, range(g.m), Boundaries(cuts))``
+    """Yield the buckets of ``partition_ids(g.w, range(g.m), cuts)``
     lightest-first, partitioning only as far as the consumer reads.
 
     With ``total`` buckets, ``expected_strata`` predicts how many of the
@@ -292,7 +292,7 @@ def _phase2_buckets(
         else:
             ids = list(compress(range(g.m), map(keep, g.w, repeat(cuts[hi - 1]))))
             weights = map(g.w.__getitem__, ids)
-        buckets = partition_ids(weights, ids, Boundaries(cuts[lo:up]))
+        buckets = partition_ids(weights, ids, cuts[lo:up])
         work[0] += len(ids)
         work[1] += time.perf_counter_ns() - t0
         # Keep only the packed buckets alive, and hand them over one at a

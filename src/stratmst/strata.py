@@ -69,7 +69,7 @@ class StrataParams(_StrataParamsFields):
     """Stratification knobs: explicit stratum count (None = automatic) and PRNG seed.
 
     ``k``, when given, must be an integer (for ``operator.index``) of at
-    least 1, or construction raises ``ValueError``.
+    least 1, and ``seed`` an integer, or construction raises ``ValueError``.
     """
 
     __slots__ = ()
@@ -82,6 +82,10 @@ class StrataParams(_StrataParamsFields):
                 raise ValueError(f"stratum count must be an integer, got {k!r}") from None
             if k < 1:
                 raise ValueError(f"stratum count must be >= 1, got {k}")
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
         return super().__new__(cls, k, seed)
 
     def resolve_k(self, m: int) -> int:
@@ -97,7 +101,11 @@ class Boundaries(_Frozen):
     def __init__(self, values: Iterable[float] = ()) -> None:
         values = tuple(values)
         for i, b in enumerate(values):
-            if not math.isfinite(b):
+            try:
+                finite = math.isfinite(b)
+            except (TypeError, OverflowError):
+                raise ValueError(f"boundary {i} does not convert to a double: {b!r}") from None
+            if not finite:
                 raise ValueError(f"boundary {i} is not finite: {b!r}")
             if i > 0 and values[i - 1] >= b:
                 raise ValueError("boundaries must be strictly increasing")
@@ -182,21 +190,21 @@ def partition(edges: Sequence[EdgeRecord], boundaries: Boundaries) -> list[list[
     each bucket, so downstream sorts stay stable.
     """
     records = list(edges)
-    buckets = partition_ids([e.weight for e in records], range(len(records)), boundaries)
+    buckets = partition_ids([e.weight for e in records], range(len(records)), boundaries.values)
     return [[records[i] for i in bucket] for bucket in buckets]
 
 
 def partition_ids(
-    weights: Iterable[float], ids: Iterable[int], boundaries: Boundaries
+    weights: Iterable[float], ids: Iterable[int], cuts: Sequence[float]
 ) -> list[array[int]]:
     """``partition`` on columns: bucket each id by its weight, the i-th
-    weight belonging to the i-th id, in input order.
+    weight belonging to the i-th id, in input order. ``cuts`` are the
+    ``values`` of a ``Boundaries``, and are not checked again.
 
     Each bucket is an ``array('I')``, so a bucketed id costs 4 bytes and no
     int object: the int that ``ids`` yields is dropped once its C unsigned
     int is stored. Every edge id of a ``GraphSpec`` fits one.
     """
-    cuts = boundaries.values
     buckets = [array("I") for _ in range(len(cuts) + 1)]
     for i, x in zip(ids, weights):
         buckets[bisect_right(cuts, x)].append(i)

@@ -9,7 +9,7 @@ frozen (the test suite re-verifies that).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .generators import WeightDist, gen_grid, gen_path, gen_random
 from .graph import GraphSpec, graph_from_edges
@@ -38,8 +38,7 @@ CLRS_EDGES: tuple[tuple[int, int, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ValidationCase:
+class ValidationCase(NamedTuple):
     """One suite entry; expected=None means 'compare against the Prim oracle'."""
 
     name: str
@@ -82,8 +81,7 @@ def make_cases() -> list[ValidationCase]:
     ]
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case: str
     algo: str
     weight: float

@@ -8,6 +8,7 @@ from stratmst.bench import (
     RECORD_FIELDS,
     BenchRecord,
     GridCell,
+    ProfileRow,
     SuiteConfig,
     SweepPoint,
     derive_seed,
@@ -19,7 +20,6 @@ from stratmst.bench import (
     summarize,
     sweep_k,
     write_csv,
-    write_profile_csv,
 )
 from stratmst.mst import SOLVERS
 
@@ -189,7 +189,7 @@ def test_other_csv_writers():
     assert len(lines) == 3
 
     buf = io.StringIO()
-    write_profile_csv(strata_profile(g, 4, seed=1), buf)
+    write_csv(ProfileRow, enumerate(strata_profile(g, 4, seed=1)), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "stratum,fraction"
 

@@ -233,24 +233,28 @@ def test_cli_mst_leaves_the_report_harness_unloaded(clrs_file):
     # running ``mst`` loads the report harness. Nor ``dataclasses``, which
     # pulls in ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``),
     # about 1 MB that no ``mst`` run needs, nor ``json`` without
-    # ``--metrics``. Only modules the bare interpreter had not loaded count,
-    # so ``site`` and ``.pth`` preloads do not.
+    # ``--metrics``. The harness itself, once imported, loads neither
+    # ``dataclasses`` nor ``inspect`` either: its rows are NamedTuples. Only
+    # modules the bare interpreter had not loaded count, so ``site`` and
+    # ``.pth`` preloads do not.
     probe = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import stratmst.cli\n"
         "unneeded = ('stratmst.bench', 'stratmst.validation', 'dataclasses', 'inspect', 'json')\n"
-        "def loaded():\n"
-        "    return sorted(m for m in unneeded if m in sys.modules and m not in bare)\n"
+        "def loaded(names=unneeded):\n"
+        "    return sorted(m for m in names if m in sys.modules and m not in bare)\n"
         "print(loaded())\n"
         "rc = stratmst.cli.main(sys.argv[1:])\n"
         "print(rc, loaded())\n"
+        "import stratmst.bench, stratmst.validation\n"
+        "print(loaded(('dataclasses', 'inspect')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe, "mst", "--input", str(clrs_file)],
         capture_output=True, text=True, env=_cli_child_env(), timeout=60, check=True,
     )
-    assert proc.stdout.splitlines() == ["[]", "37.0000 8", "0 []"]
+    assert proc.stdout.splitlines() == ["[]", "37.0000 8", "0 []", "[]"]
 
 
 def test_report_commands_default_to_master_seed_7():

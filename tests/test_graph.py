@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 from collections import deque
 
 import numpy as np
@@ -79,6 +80,15 @@ def test_graph_rejects_non_finite_weights():
         graph_from_edges(2, [(0, 1, math.inf)])
     with pytest.raises(ValueError, match="not finite"):
         graph_from_edges(2, [(0, 1, -math.inf)])
+    # An int beyond the double range or a non-number is named like a bad
+    # endpoint, not left to raise OverflowError or TypeError.
+    huge = 10**400
+    with pytest.raises(ValueError, match=f"^edge 1: weight {huge} does not convert to a double$"):
+        graph_from_edges(2, [(0, 1, 1.0), (0, 1, huge)])
+    with pytest.raises(ValueError, match=r"^edge 0: weight '2' does not convert to a double$"):
+        graph_from_edges(2, [(0, 1, "2")])
+    with pytest.raises(ValueError, match=f"^edge 0: weight {huge} does not convert to a double$"):
+        GraphSpec(2, (EdgeRecord(0, 1, huge, 0),))
 
 
 def test_graph_rejects_bad_endpoints():
@@ -100,6 +110,14 @@ def test_from_columns_validates_like_records():
         GraphSpec.from_columns(2, [0, 0], [1, 2], [1.0, 1.0])
     with pytest.raises(ValueError, match="edge 0: weight nan is not finite"):
         GraphSpec.from_columns(2, [0], [1], [math.nan])
+    huge = 10**400
+    with pytest.raises(ValueError, match=f"^edge 0: weight {huge} does not convert to a double$"):
+        GraphSpec.from_columns(2, [0], [1], [huge])
+    for bad in ("1.5", None, [1.0]):
+        with pytest.raises(ValueError, match=rf"^edge 1: weight {re.escape(repr(bad))} does not"):
+            GraphSpec.from_columns(2, [0, 1], [1, 0], [2.0, bad])
+    with pytest.raises(ValueError, match="^edge 0: weight nan is not finite$"):
+        GraphSpec.from_columns(2, [0, 0], [1, 1], [math.nan, huge])
     with pytest.raises(ValueError, match="column lengths differ"):
         GraphSpec.from_columns(2, [0, 1], [1], [1.0])
     with pytest.raises(ValueError, match="non-negative"):

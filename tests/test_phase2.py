@@ -8,11 +8,15 @@ edges and per-stratum acceptances, whichever way phase 2 went.
 
 import math
 import random
+from array import array
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from stratmst import (
     Boundaries,
+    EdgeRecord,
     GraphSpec,
     StrataParams,
     WeightDist,
@@ -23,6 +27,7 @@ from stratmst import (
     kruskal_heap,
     kruskal_std,
 )
+from stratmst.mst import SOLVERS
 from stratmst.strata import estimate_cuts, expected_strata, partition_ids
 
 UNIFORM = WeightDist.uniform()
@@ -41,7 +46,7 @@ def eds_boundaries(g, params):
 def assert_matches_eager_reference(g, res, b):
     """``res`` accepts ``kruskal_std``'s ids and sorts exactly the first
     ``strata_processed`` buckets of ``partition_ids`` over every id."""
-    ref = partition_ids(g.w, range(g.m), b)
+    ref = partition_ids(g.w, range(g.m), b.values)
     m = res.metrics
     p = m.strata_processed
     assert res.edge_ids == kruskal_std(g).edge_ids
@@ -131,19 +136,50 @@ def test_signed_zeros():
 
 
 def test_mixed_int_and_float_weights_against_int_cuts():
-    # An int cut compared with float weights must not go through
+    # Int weights are packed as doubles, but explicit cuts stay as given. An
+    # int cut compared with float weights must not go through
     # ``int.__gt__``, whose NotImplemented is truthy; bisect compares exactly.
     rng = random.Random(6)
     triples = clique(40, lambda a, b: rng.choice([rng.randint(0, 4), rng.uniform(0.0, 4.0)]))
     u, v, w = zip(*triples)
     g = GraphSpec.from_columns(40, u, v, w)
-    assert {type(x) for x in g.w} == {int, float}
+    assert g.w.typecode == "d" and list(g.w) == list(map(float, w))
+    assert {type(x) for x in w} == {int, float}
     b = Boundaries((1, 2, 3))
     hi, total = split_point(g, b)
     assert hi <= total // 2
     assert_matches_eager_reference(g, kruskal_eds(g, boundaries=b), b)
     for params in (StrataParams(seed=4), StrataParams(k=7, seed=4)):
         assert_matches_eager_reference(g, kruskal_eds(g, params), eds_boundaries(g, params))
+
+
+def test_every_number_type_packs_the_doubles_of_the_float_graph():
+    # Ints and Fractions convert as array('d') converts them, exactly here
+    # since every weight is a multiple of 1/4 below 2**53; the solvers then
+    # see the float graph's doubles and give its ids and counters.
+    rng = random.Random(11)
+    u, v, _ = zip(*clique(25, lambda a, b: None))  # 300 edges: eds stratifies
+    quarters = [rng.randint(-40, 40) for _ in u]
+    columns = {
+        "int": (quarters, [float(x) for x in quarters]),
+        "numpy.int64": (np.array(quarters, dtype=np.int64), [float(x) for x in quarters]),
+        "numpy.float64": (np.array(quarters) / 4, [x / 4 for x in quarters]),
+        "Fraction": ([Fraction(x, 4) for x in quarters], [x / 4 for x in quarters]),
+    }
+    for name, (column, floats) in columns.items():
+        reference = GraphSpec.from_columns(25, u, v, floats)
+        for g in (
+            GraphSpec.from_columns(25, u, v, column),
+            graph_from_edges(25, zip(u, v, column)),
+            GraphSpec(25, map(EdgeRecord, u, v, column, range(len(u)))),
+        ):
+            assert type(g.w) is array and g.w.typecode == "d", name
+            assert g == reference, name
+            for algo, solve in SOLVERS.items():
+                for params in (StrataParams(seed=3), StrataParams(k=7, seed=3)):
+                    got, want = solve(g, params), solve(reference, params)
+                    assert _counters(got) == _counters(want), (name, algo)
+                    assert got.total_weight == want.total_weight, (name, algo)
 
 
 def test_partition_ops_on_the_dense_acceptance_graph():

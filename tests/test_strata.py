@@ -42,6 +42,11 @@ def test_strata_params_validation():
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {k!r}")):
             StrataParams(k=k)
     assert StrataParams(k=True).resolve_k(10**6) == 1
+    # A bad seed used to surface only in phase 1, as random.Random's TypeError.
+    for seed in ([1], {"a": 1}, 1.5, "3", None):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            StrataParams(seed=seed)
+    assert repr(StrataParams(seed=True)) == "StrataParams(k=None, seed=1)"
     assert StrataParams(k=3).resolve_k(10**6) == 3
     assert StrataParams().resolve_k(600) == 10
     assert StrataParams().resolve_k(50) == 1
@@ -53,8 +58,14 @@ def test_boundaries_must_strictly_increase():
         Boundaries((1.0, 1.0))
     with pytest.raises(ValueError):
         Boundaries((2.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^boundary 0 is not finite: nan$"):
         Boundaries((float("nan"),))
+    huge = 10**400
+    with pytest.raises(ValueError, match=f"^boundary 1 does not convert to a double: {huge}$"):
+        Boundaries((1.0, huge))
+    for bad in ("2", None):
+        with pytest.raises(ValueError, match=rf"^boundary 0 does not convert to a double: {bad!r}$"):
+            Boundaries((bad, 3.0))
 
 
 def test_estimate_boundaries_whole_population_sample():
