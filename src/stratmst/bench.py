@@ -292,6 +292,10 @@ def speedup_grid(
     Since ops(std) = m by definition, each cell is the median of
     m / sort_ops(eds) over the trials.
     """
+    if not density_points:
+        raise ValueError("density_points must be non-empty")
+    if not skew_points:
+        raise ValueError("skew_points must be non-empty")
     _check_trials(trials)
     full = n * (n - 1) // 2
     cells: list[GridCell] = []

@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 import time
 from array import array
 from functools import partial
-from itertools import compress, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import EdgeRecord, GraphSpec, _Frozen, kruskal_scan
@@ -269,12 +267,14 @@ def _phase2_buckets(
     complement is filtered and bucketed (buckets ``hi..total-1``) only if
     the consumer asks for bucket ``hi``. Otherwise all ids are bucketed in
     one pass. ``work`` accumulates ``[ids bucketed, nanoseconds spent]``.
-    Comparisons go through ``operator.lt``/``ge`` on the weight, as
-    ``bisect`` does, so an int cut against float weights compares exactly.
-    Edge ids come from ``range(g.m)``, and each bucket is an ``array('I')``
-    that keeps them as C ints; the consumer turns one bucket at a time into
-    int objects, to sort and scan it, and each bucket is dropped here once
-    handed over. With one stratum the single bucket is ``range(g.m)``.
+    Each filter is a comprehension over ``enumerate(g.w)`` that compares
+    ``x < cut`` or ``x >= cut``, the weight on the left as in ``bisect``, so
+    an int cut against float weights compares exactly; ids come out in
+    increasing order. Edge ids come from ``range(g.m)``, and each bucket is
+    an ``array('I')`` that keeps them as C ints; the consumer turns one
+    bucket at a time into int objects, to sort and scan it, and each bucket
+    is dropped here once handed over. With one stratum the single bucket
+    is ``range(g.m)``.
     """
     total = len(cuts) + 1
     if total == 1:
@@ -284,13 +284,17 @@ def _phase2_buckets(
     if hi > total // 2:
         sides = ((None, 0, total - 1),)
     else:
-        sides = ((operator.lt, 0, hi - 1), (operator.ge, hi, total - 1))
-    for keep, lo, up in sides:
+        cut = cuts[hi - 1]
+        sides = ((True, 0, hi - 1), (False, hi, total - 1))
+    for light, lo, up in sides:
         t0 = time.perf_counter_ns()
-        if keep is None:
+        if light is None:
             ids, weights = range(g.m), g.w
         else:
-            ids = list(compress(range(g.m), map(keep, g.w, repeat(cuts[hi - 1]))))
+            if light:
+                ids = [i for i, x in enumerate(g.w) if x < cut]
+            else:
+                ids = [i for i, x in enumerate(g.w) if x >= cut]
             weights = map(g.w.__getitem__, ids)
         buckets = partition_ids(weights, ids, cuts[lo:up])
         work[0] += len(ids)

@@ -149,8 +149,9 @@ def test_speedup_grid_markers_and_bounds():
 
 
 def test_speedup_grid_empty_inputs():
-    assert speedup_grid([], [], n=50) == []
-    assert speedup_grid([0.5], [], n=50) == []
+    for density, skew in (([], []), ([], [0.5]), ([0.5], [])):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            speedup_grid(density, skew, n=50)
 
 
 def test_speedup_grid_validates_ranges():

@@ -379,6 +379,16 @@ def test_sweep_k_and_profile_reject_bad_k(tmp_path, capsys):
     assert "stratum count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, name", [("--density", "density_points"), ("--skew", "skew_points")]
+)
+def test_grid_with_an_empty_list_exits_2_and_writes_nothing(tmp_path, capsys, option, name):
+    out = tmp_path / "grid.csv"
+    assert main(["grid", option, ",", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {name} must be non-empty\n"
+    assert not out.exists()
+
+
 def test_grid_cli(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     assert main(["grid", "--n", "60", "--density", "0.1,0.5",

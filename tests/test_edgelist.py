@@ -311,7 +311,7 @@ def test_parse_transient_memory_is_bounded_by_the_chunk():
     # Peak minus retained: the chunk's lines, joined bytes and fields, which
     # are dropped before the next chunk is read, and the token cache of the
     # n = 2,000 vertices, which is not. n is fixed, so only m grows. At
-    # 1,024-line chunks it read 400-422 kB on Python 3.10-3.12; the cache
+    # 1,024-line chunks it read 401-422 kB on Python 3.11-3.13; the cache
     # sets most of it, so it does not shrink with the chunk. Retained, the
     # graph costs two packed 2-byte endpoints and one packed double per
     # edge, about 12 B.

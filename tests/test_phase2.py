@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratmst import (
     Boundaries,
@@ -27,7 +29,7 @@ from stratmst import (
     kruskal_heap,
     kruskal_std,
 )
-from stratmst.mst import SOLVERS
+from stratmst.mst import SOLVERS, _phase2_buckets
 from stratmst.strata import estimate_cuts, expected_strata, partition_ids
 
 UNIFORM = WeightDist.uniform()
@@ -180,6 +182,48 @@ def test_every_number_type_packs_the_doubles_of_the_float_graph():
                     got, want = solve(g, params), solve(reference, params)
                     assert _counters(got) == _counters(want), (name, algo)
                     assert got.total_weight == want.total_weight, (name, algo)
+
+
+# Signed zeros, the smallest subnormals on both sides of zero, a larger
+# subnormal, and two normal weights.
+WEIGHT_POOL = (-0.0, 0.0, -5e-324, 5e-324, 1e-310, 1.0, 2.5)
+CUT_POOLS = {"float": WEIGHT_POOL, "int": (-1, 0, 1, 2, 3)}
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_POOLS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_pass_schedule_matches_the_eager_reference(kind, data):
+    # Weights equal to the light prefix's cut sit exactly on the split: a
+    # light filter with ``<=``, or a complement filter with ``>``, misfiles
+    # or drops them.
+    cuts = tuple(sorted(data.draw(
+        st.lists(st.sampled_from(CUT_POOLS[kind]), min_size=1, max_size=8, unique_by=float),
+        label="cuts",
+    )))
+    total = len(cuts) + 1
+    n = data.draw(st.integers(2, 6), label="n")
+    m = 1
+    while math.ceil(2 * expected_strata(n, m, total)) > total // 2:
+        m += 1
+    m += data.draw(st.integers(0, 30), label="extra edges")
+    hi = math.ceil(2 * expected_strata(n, m, total))
+    assert 1 <= hi <= total // 2
+    cut = cuts[hi - 1]
+    weights = data.draw(
+        st.lists(st.sampled_from(WEIGHT_POOL + (cut, cut)), min_size=m, max_size=m),
+        label="weights",
+    )
+    g = GraphSpec.from_columns(n, [0] * m, [1] * m, weights)
+    work = [0, 0]
+    got = []
+    for bucket in _phase2_buckets(g, cuts, work):
+        got.append(list(bucket))
+        assert got[-1] == sorted(set(got[-1]))  # ascending ids
+        if len(got) == hi:  # the light prefix alone is bucketed so far
+            assert work[0] == sum(map(len, got))
+    assert got == list(map(list, partition_ids(g.w, range(g.m), cuts)))
+    assert work[0] == sum(map(len, got)) == g.m
 
 
 def test_partition_ops_on_the_dense_acceptance_graph():
