@@ -11,7 +11,9 @@ No module of the package declares a dataclass: ``dataclasses`` imports
 ``inspect``, and with it ``ast``, ``dis`` and ``tokenize``, about 1 MB
 resident in any process that loads them. Plain records, the report rows
 included, are ``NamedTuple``s; validated types are ``__slots__`` classes,
-or ``NamedTuple``s with a validating ``__new__``.
+or ``NamedTuple``s with a validating ``__new__``. A ``__slots__`` class
+derives from ``graph._Frozen`` and lists its value in ``_fields``, from
+which ``_Frozen`` derives its equality, hash and repr.
 """
 
 from .edgelist import EdgeListError, load_edge_list, read_edge_list, write_edge_list

@@ -37,10 +37,27 @@ class _Frozen:
     """Base of the package's immutable ``__slots__`` classes. Their
     constructors set each field with ``object.__setattr__``; assigning or
     deleting a field afterwards raises ``AttributeError``, so ``pickle`` and
-    ``copy`` save and restore the fields through ``__getstate__`` and
-    ``__setstate__``."""
+    ``copy`` save and restore every slot through ``__getstate__`` and
+    ``__setstate__``. Equality (within one class), hash and repr cover only
+    the slots a subclass lists in ``_fields``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -110,7 +127,8 @@ class GraphSpec(_Frozen):
     Two graphs are equal when all four fields are; a graph is unhashable.
     """
 
-    __slots__ = ("n", "u", "v", "w")
+    __slots__ = _fields = ("n", "u", "v", "w")
+    __hash__ = None
     n: int
     u: array[int]
     v: array[int]
@@ -215,14 +233,6 @@ class GraphSpec(_Frozen):
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "w", w)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.u, self.v, self.w) == (other.n, other.u, other.v, other.w)
-
-    def __repr__(self) -> str:
-        return f"GraphSpec(n={self.n!r}, u={self.u!r}, v={self.v!r}, w={self.w!r})"
 
     @property
     def m(self) -> int:

@@ -22,14 +22,13 @@ the CLI, the benchmark harness and the validation suite dispatch through.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from array import array
 from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph import EdgeRecord, GraphSpec, _Frozen, kruskal_scan
-from .strata import Boundaries, StrataParams, estimate_cuts, expected_strata, partition_ids
+from .strata import Boundaries, StrataParams, estimate_cuts, partition_ids, phase2_windows
 
 
 class Metrics(NamedTuple):
@@ -85,6 +84,7 @@ class MstResult(_Frozen):
     """
 
     __slots__ = ("graph", "edge_ids", "metrics", "total_weight", "_edges")
+    _fields = ("edge_ids", "metrics", "total_weight")
     graph: GraphSpec
     edge_ids: array[int]
     metrics: Metrics
@@ -99,21 +99,8 @@ class MstResult(_Frozen):
         object.__setattr__(self, "total_weight", sum(map(graph.w.__getitem__, edge_ids), 0.0))
         object.__setattr__(self, "_edges", None)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.edge_ids, self.metrics, self.total_weight) == (
-            other.edge_ids, other.metrics, other.total_weight
-        )
-
     def __hash__(self) -> int:
         return hash((self.metrics, self.total_weight))
-
-    def __repr__(self) -> str:
-        return (
-            f"MstResult(edge_ids={self.edge_ids!r}, metrics={self.metrics!r}, "
-            f"total_weight={self.total_weight!r})"
-        )
 
     @property
     def accepted_count(self) -> int:
@@ -260,43 +247,37 @@ def _phase2_buckets(
     """Yield the buckets of ``partition_ids(g.w, range(g.m), cuts)``
     lightest-first, partitioning only as far as the consumer reads.
 
-    With ``total`` buckets, ``expected_strata`` predicts how many of the
-    lightest the forest needs; ``hi`` is twice that, rounded up. When
-    ``hi <= total // 2``, one filter pass takes the ids lighter than
-    ``cuts[hi-1]`` and buckets only them (buckets ``0..hi-1``); the
-    complement is filtered and bucketed (buckets ``hi..total-1``) only if
-    the consumer asks for bucket ``hi``. Otherwise all ids are bucketed in
-    one pass. ``work`` accumulates ``[ids bucketed, nanoseconds spent]``.
-    Each filter is a comprehension over ``enumerate(g.w)`` that compares
-    ``x < cut`` or ``x >= cut``, the weight on the left as in ``bisect``, so
-    an int cut against float weights compares exactly; ids come out in
-    increasing order. Edge ids come from ``range(g.m)``, and each bucket is
-    an ``array('I')`` that keeps them as C ints; the consumer turns one
-    bucket at a time into int objects, to sort and scan it, and each bucket
-    is dropped here once handed over. With one stratum the single bucket
-    is ``range(g.m)``.
+    Each window of ``phase2_windows`` is partitioned when the consumer asks
+    for its first bucket: a light prefix ``(0, up)`` takes the ids lighter
+    than ``cuts[up-1]``, the rest ``(lo, total)`` those not lighter than
+    ``cuts[lo-1]``, and a window of all buckets every id. ``work``
+    accumulates ``[ids bucketed, nanoseconds spent]``. Each filter is a
+    comprehension over ``enumerate(g.w)`` that compares ``x < cut`` or
+    ``x >= cut``, the weight on the left as in ``bisect``, so an int cut
+    against float weights compares exactly; ids come out in increasing
+    order. Edge ids come from ``range(g.m)``, and each bucket is an
+    ``array('I')`` that keeps them as C ints; the consumer turns one bucket
+    at a time into int objects, to sort and scan it, and each bucket is
+    dropped here once handed over. With one stratum the single bucket is
+    ``range(g.m)``.
     """
     total = len(cuts) + 1
     if total == 1:
         yield range(g.m)
         return
-    hi = math.ceil(2 * expected_strata(g.n, g.m, total))
-    if hi > total // 2:
-        sides = ((None, 0, total - 1),)
-    else:
-        cut = cuts[hi - 1]
-        sides = ((True, 0, hi - 1), (False, hi, total - 1))
-    for light, lo, up in sides:
+    for lo, up in phase2_windows(g.n, g.m, total):
         t0 = time.perf_counter_ns()
-        if light is None:
+        if (lo, up) == (0, total):
             ids, weights = range(g.m), g.w
         else:
-            if light:
+            if lo == 0:
+                cut = cuts[up - 1]
                 ids = [i for i, x in enumerate(g.w) if x < cut]
             else:
+                cut = cuts[lo - 1]
                 ids = [i for i, x in enumerate(g.w) if x >= cut]
             weights = map(g.w.__getitem__, ids)
-        buckets = partition_ids(weights, ids, cuts[lo:up])
+        buckets = partition_ids(weights, ids, cuts[lo : up - 1])
         work[0] += len(ids)
         work[1] += time.perf_counter_ns() - t0
         # Keep only the packed buckets alive, and hand them over one at a

@@ -6,8 +6,8 @@ every edge into its weight-ordered bucket via binary search. Boundaries
 only ever need to be weight-consistent, never exact quantiles: a misplaced
 boundary changes bucket sizes, not the result of any downstream solver.
 ``expected_strata`` predicts how many of the lightest strata a random
-graph's spanning forest needs, which bounds how much the solver buckets
-up front.
+graph's spanning forest needs, and ``phase2_windows`` turns that into how
+much the solver buckets up front.
 """
 
 from __future__ import annotations
@@ -60,6 +60,18 @@ def expected_strata(n: int, m: int, k: int) -> float:
     return k * min(1.0, n * math.log(n) / (2 * m))
 
 
+def phase2_windows(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
+    """Phase 2's plan: windows ``(lo, up)`` of buckets ``lo..up-1`` of ``k``,
+    partitioned lightest first, each only if the forest still needs it.
+
+    ``hi`` is ``2 * expected_strata(n, m, k)`` rounded up, and at least 1 so
+    that no window is empty. When ``hi <= k // 2`` the plan is the light
+    prefix ``(0, hi)`` and then ``(hi, k)``; otherwise one window of all.
+    """
+    hi = max(1, math.ceil(2 * expected_strata(n, m, k)))
+    return ((0, hi), (hi, k)) if hi <= k // 2 else ((0, k),)
+
+
 class _StrataParamsFields(NamedTuple):
     k: int | None = None
     seed: int = 0
@@ -95,7 +107,7 @@ class StrataParams(_StrataParamsFields):
 class Boundaries(_Frozen):
     """Strictly increasing cut points; empty means a single stratum (global sort)."""
 
-    __slots__ = ("values",)
+    __slots__ = _fields = ("values",)
     values: tuple[float, ...]
 
     def __init__(self, values: Iterable[float] = ()) -> None:
@@ -110,17 +122,6 @@ class Boundaries(_Frozen):
             if i > 0 and values[i - 1] >= b:
                 raise ValueError("boundaries must be strictly increasing")
         object.__setattr__(self, "values", values)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
-    def __repr__(self) -> str:
-        return f"Boundaries(values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,3 +1,5 @@
+import collections.abc
+import copy
 import math
 import pickle
 import random
@@ -336,6 +338,17 @@ def test_value_types_keep_their_reprs_and_read_only_fields():
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         assert pickle.loads(pickle.dumps(value)) == value
+    # The three _Frozen value types: copies and pickles are equal values,
+    # other types compare unequal, and equal values hash equal, except a
+    # graph, which is unhashable.
+    for value in (g, Boundaries([1.0, 2.0]), res):
+        for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert clone == value and repr(clone) == repr(value)
+            if value is not g:
+                assert hash(clone) == hash(value)
+        assert (value == 1) is False
+    assert not isinstance(g, collections.abc.Hashable)
+    assert isinstance(res, collections.abc.Hashable)
 
 
 def reference_kruskal(g):

@@ -30,7 +30,7 @@ from stratmst import (
     kruskal_std,
 )
 from stratmst.mst import SOLVERS, _phase2_buckets
-from stratmst.strata import estimate_cuts, expected_strata, partition_ids
+from stratmst.strata import estimate_cuts, expected_strata, partition_ids, phase2_windows
 
 UNIFORM = WeightDist.uniform()
 
@@ -38,7 +38,7 @@ UNIFORM = WeightDist.uniform()
 def split_point(g, b):
     """``(hi, total)``: phase 2 buckets ``0..hi-1`` first when ``hi <= total // 2``."""
     total = len(b) + 1
-    return math.ceil(2 * expected_strata(g.n, g.m, total)), total
+    return phase2_windows(g.n, g.m, total)[0][1], total
 
 
 def eds_boundaries(g, params):
@@ -196,25 +196,26 @@ CUT_POOLS = {"float": WEIGHT_POOL, "int": (-1, 0, 1, 2, 3)}
 def test_two_pass_schedule_matches_the_eager_reference(kind, data):
     # Weights equal to the light prefix's cut sit exactly on the split: a
     # light filter with ``<=``, or a complement filter with ``>``, misfiles
-    # or drops them.
+    # or drops them. A one-vertex graph expects no stratum, and its light
+    # prefix must still hold one bucket.
     cuts = tuple(sorted(data.draw(
         st.lists(st.sampled_from(CUT_POOLS[kind]), min_size=1, max_size=8, unique_by=float),
         label="cuts",
     )))
     total = len(cuts) + 1
-    n = data.draw(st.integers(2, 6), label="n")
+    n = data.draw(st.integers(1, 6), label="n")
     m = 1
-    while math.ceil(2 * expected_strata(n, m, total)) > total // 2:
+    while len(phase2_windows(n, m, total)) == 1:
         m += 1
     m += data.draw(st.integers(0, 30), label="extra edges")
-    hi = math.ceil(2 * expected_strata(n, m, total))
+    (_, hi), _ = phase2_windows(n, m, total)
     assert 1 <= hi <= total // 2
     cut = cuts[hi - 1]
     weights = data.draw(
         st.lists(st.sampled_from(WEIGHT_POOL + (cut, cut)), min_size=m, max_size=m),
         label="weights",
     )
-    g = GraphSpec.from_columns(n, [0] * m, [1] * m, weights)
+    g = GraphSpec.from_columns(n, [0] * m, [n - 1] * m, weights)
     work = [0, 0]
     got = []
     for bucket in _phase2_buckets(g, cuts, work):
@@ -222,6 +223,7 @@ def test_two_pass_schedule_matches_the_eager_reference(kind, data):
         assert got[-1] == sorted(set(got[-1]))  # ascending ids
         if len(got) == hi:  # the light prefix alone is bucketed so far
             assert work[0] == sum(map(len, got))
+    assert len(got) == total
     assert got == list(map(list, partition_ids(g.w, range(g.m), cuts)))
     assert work[0] == sum(map(len, got)) == g.m
 
@@ -291,11 +293,44 @@ def test_monotone_weight_maps_leave_the_run_unchanged(name):
                 assert getattr(got.metrics, field) == getattr(want.metrics, field), field
 
 
+def test_phase2_windows():
+    # The perfbench sizes: uniform-200k and path-200k keep the full
+    # partition, dense-400k buckets 7 of 177 strata first.
+    assert phase2_windows(20000, 200000, 129) == ((0, 129),)
+    assert phase2_windows(2000, 400000, 177) == ((0, 7), (7, 177))
+    assert phase2_windows(200000, 199999, 129) == ((0, 129),)
+    # The split boundary: hi == k // 2 splits, hi == k // 2 + 1 does not.
+    assert math.ceil(2 * expected_strata(2, 4, 9)) == 4
+    assert phase2_windows(2, 4, 9) == ((0, 4), (4, 9))
+    assert math.ceil(2 * expected_strata(2, 3, 9)) == 5
+    assert phase2_windows(2, 3, 9) == ((0, 9),)
+    assert math.ceil(2 * expected_strata(2, 3, 10)) == 5
+    assert phase2_windows(2, 3, 10) == ((0, 5), (5, 10))
+    assert math.ceil(2 * expected_strata(3, 6, 10)) == 6
+    assert phase2_windows(3, 6, 10) == ((0, 10),)
+    # One vertex expects no stratum; the light prefix still holds one.
+    assert phase2_windows(1, 10, 5) == ((0, 1), (1, 5))
+    assert phase2_windows(1, 1, 1) == ((0, 1),)
+
+
+# (sort_ops, partition_ops, strata_processed, strata_total, union_calls) of
+# kruskal_eds with default parameters on the perfbench workloads' sizes.
+PERFBENCH_COUNTERS = {
+    "uniform-200k": ((20000, 200000), (104892, 200000, 67, 129, 104083)),
+    "dense-400k": ((2000, 400000), (10958, 14044, 5, 177, 9822)),
+    "path-200k": ((200000,), (199999, 199999, 129, 129, 199999)),
+}
+
+
+@pytest.mark.parametrize("name", list(PERFBENCH_COUNTERS))
+def test_counters_at_the_perfbench_sizes(name):
+    size, want = PERFBENCH_COUNTERS[name]
+    g = gen_random(*size, UNIFORM, 1) if len(size) == 2 else gen_path(*size, UNIFORM, 1)
+    m = kruskal_eds(g).metrics
+    assert (m.sort_ops, m.partition_ops, m.strata_processed, m.strata_total, m.union_calls) == want
+
+
 def test_expected_strata_values():
-    # The perfbench sizes: uniform-200k keeps the full partition, dense-400k
-    # buckets 7 of 177 strata first.
-    assert math.ceil(2 * expected_strata(20000, 200000, 129)) == 128
-    assert math.ceil(2 * expected_strata(2000, 400000, 177)) == 7
     assert expected_strata(2000, 400000, 177) == 177 * (2000 * math.log(2000) / 800000)
     assert expected_strata(300, 40000, 62) == 62 * (300 * math.log(300) / 80000)
     # Sparse graphs clamp to every stratum.
