@@ -19,7 +19,7 @@ import statistics
 import time
 from typing import IO, Iterable, NamedTuple, Sequence
 
-from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
+from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_family, gen_random
 from .graph import GraphSpec
 from .mst import SOLVERS, kruskal_eds
 from .strata import StrataParams
@@ -40,7 +40,8 @@ def derive_seed(master: int, *parts: object) -> int:
 
 
 class SuiteConfig(NamedTuple):
-    """One benchmark configuration: a labelled graph family instance."""
+    """One benchmark configuration: a labelled graph family instance, which
+    ``run_suite`` builds through ``generators.gen_family``."""
 
     label: str
     family: str
@@ -49,13 +50,6 @@ class SuiteConfig(NamedTuple):
     dist: WeightDist
     rows: int = 0  # grid family only
     cols: int = 0
-
-    def build(self, seed: int) -> GraphSpec:
-        if self.family == "grid":
-            return gen_grid(self.rows, self.cols, self.dist, seed)
-        if self.family == "path":
-            return gen_path(self.n, self.dist, seed)
-        return gen_random(self.n, self.m, self.dist, seed)
 
 
 def _grid_config(label: str, rows: int, cols: int) -> SuiteConfig:
@@ -121,7 +115,7 @@ def run_suite(
         for trial in range(trials):
             seed = derive_seed(master_seed, cfg.label, trial)
             try:
-                g = cfg.build(seed)
+                g = gen_family(cfg.family, seed, cfg.n, cfg.m, cfg.rows, cfg.cols, cfg.dist)
             except ValueError as exc:
                 raise ValueError(f"generation failed for {cfg.label!r}: {exc}") from exc
             params = StrataParams(seed=seed)

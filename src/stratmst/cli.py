@@ -16,20 +16,10 @@ from functools import partial
 from typing import IO, Callable, Iterator
 
 from .edgelist import EdgeListError, load_edge_list, write_edge_list
-from .generators import DEFAULT_MASTER_SEED, WeightDist, gen_grid, gen_path, gen_random
+from .generators import DEFAULT_MASTER_SEED, FAMILY_WEIGHTS, gen_family
 from .graph import GraphSpec
 from .mst import SOLVERS
 from .strata import StrataParams
-
-RANDOM_FAMILIES = {
-    "sparse": WeightDist.uniform(),
-    "medium": WeightDist.uniform(),
-    "dense": WeightDist.uniform(),
-    "normal": WeightDist.half_normal(),
-    "power": WeightDist.pareto(),
-    "clustered": WeightDist.clustered(),
-}
-FAMILIES = (*RANDOM_FAMILIES, "grid", "path")
 
 
 def _parse_k(text: str) -> int | None:
@@ -87,28 +77,18 @@ def _load_graph(path: str) -> GraphSpec:
         raise CliError(f"{path}: input is not valid UTF-8 ({exc.reason})") from exc
 
 
-def _default_m(family: str, n: int) -> int:
-    if family == "medium":
-        return 10 * n
-    if family == "dense":
-        return n * (n - 1) // 2
-    return round(1.2 * n)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "grid":
+    family = args.family
+    reads = ("rows", "cols") if family == "grid" else ("n",) if family == "path" else ("n", "m")
+    for name in ("n", "m", "rows", "cols"):
+        if name not in reads and getattr(args, name) is not None:
+            raise CliError(f"{family} family does not read --{name}")
+    if family == "grid":
         if args.rows is None or args.cols is None:
             raise CliError("grid family needs --rows and --cols")
-        g = gen_grid(args.rows, args.cols, WeightDist.uniform(), args.seed)
-    elif args.family == "path":
-        if args.n is None:
-            raise CliError("path family needs --n")
-        g = gen_path(args.n, WeightDist.uniform(), args.seed)
-    else:
-        if args.n is None:
-            raise CliError(f"{args.family} family needs --n")
-        m = args.m if args.m is not None else _default_m(args.family, args.n)
-        g = gen_random(args.n, m, RANDOM_FAMILIES[args.family], args.seed)
+    elif args.n is None:
+        raise CliError(f"{family} family needs --n")
+    g = gen_family(family, args.seed, args.n, args.m, args.rows, args.cols)
     with _open_out(args.out) as stream:
         write_edge_list(g, stream)
     if args.out is not None:
@@ -227,6 +207,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_report_options(p: argparse.ArgumentParser) -> None:
+    """The options every seeded report command (bench, sweep-k, grid) ends with."""
+    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    p.add_argument("--out", help="CSV path (default: standard output)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratmst",
@@ -235,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph and write it as an edge list")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--family", choices=tuple(FAMILY_WEIGHTS), required=True)
     p.add_argument("--n", type=int, help="vertex count (non-grid families)")
     p.add_argument("--m", type=int, help="edge count (random families; family default if omitted)")
     p.add_argument("--rows", type=int, help="grid rows")
@@ -258,17 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="run the benchmark suite and write a CSV")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="CSV path (default: standard output)")
+    _add_report_options(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep-k", help="measure eds across stratum counts on one graph")
     p.add_argument("--input", required=True)
     p.add_argument("--k-values", type=_int_list, default=[2, 5, 10, 20, 50, 100, 200, 500])
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="CSV path (default: standard output)")
+    _add_report_options(p)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("profile", help="per-stratum share of accepted edges on one graph")
@@ -282,9 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=120)
     p.add_argument("--density", type=_float_list, default=[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
     p.add_argument("--skew", type=_float_list, default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="CSV path (default: standard output)")
+    _add_report_options(p)
     p.set_defaults(func=cmd_grid)
 
     return parser

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .graph import GraphSpec
+from .graph import GraphSpec, _check_size
 
 # Clustered noise must never flip a weight's sign.
 CLUSTER_WEIGHT_FLOOR = 0.001
@@ -71,6 +71,7 @@ def gen_random(n: int, m: int, dist: WeightDist, seed: int) -> GraphSpec:
     max_m = n * (n - 1) // 2
     if not n - 1 <= m <= max_m:
         raise ValueError(f"m={m} infeasible for n={n}: need {n - 1} <= m <= {max_m}")
+    _check_size(n, m)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -100,6 +101,7 @@ def gen_grid(rows: int, cols: int, dist: WeightDist, seed: int) -> GraphSpec:
     """rows x cols grid: one edge per horizontal and vertical neighbour pair."""
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
+    _check_size(rows * cols, 2 * rows * cols - rows - cols)
     rng = random.Random(seed)
     us: list[int] = []
     vs: list[int] = []
@@ -120,6 +122,41 @@ def gen_path(n: int, dist: WeightDist, seed: int) -> GraphSpec:
     """Path 0-1-...-(n-1), the sparsest connected structure (m = n-1)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _check_size(n, n - 1)
     rng = random.Random(seed)
     ws = [dist.sample(rng) for _ in range(n - 1)]
     return GraphSpec.from_columns(n, range(n - 1), range(1, n), ws)
+
+
+# Every graph family, by its ``stratmst gen --family`` name, and its default
+# weights; ``gen_family``, the one dispatch, builds each for ``gen`` and ``bench``.
+FAMILY_WEIGHTS: dict[str, WeightDist] = {
+    "sparse": WeightDist.uniform(),
+    "medium": WeightDist.uniform(),
+    "dense": WeightDist.uniform(),
+    "normal": WeightDist.half_normal(),
+    "power": WeightDist.pareto(),
+    "clustered": WeightDist.clustered(),
+    "grid": WeightDist.uniform(),
+    "path": WeightDist.uniform(),
+}
+
+
+def gen_family(
+    family: str, seed: int, n: int | None = None, m: int | None = None,
+    rows: int | None = None, cols: int | None = None, dist: WeightDist | None = None,
+) -> GraphSpec:
+    """One graph of ``family``: a ``rows`` x ``cols`` grid, an ``n``-vertex path,
+    or a random graph of ``n`` vertices and ``m`` edges, by default ``10 n``
+    (medium), every pair (dense) or ``round(1.2 n)``. ``dist`` defaults to
+    the family's ``FAMILY_WEIGHTS`` entry."""
+    if family not in FAMILY_WEIGHTS:
+        raise ValueError(f"unknown graph family {family!r}")
+    dist = FAMILY_WEIGHTS[family] if dist is None else dist
+    if family == "grid":
+        return gen_grid(rows, cols, dist, seed)
+    if family == "path":
+        return gen_path(n, dist, seed)
+    if m is None:
+        m = {"medium": 10 * n, "dense": n * (n - 1) // 2}.get(family, round(1.2 * n))
+    return gen_random(n, m, dist, seed)

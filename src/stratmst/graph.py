@@ -33,6 +33,15 @@ def _endpoint_typecode(n: int) -> str:
     return "H" if n <= 1 << 16 else "i"
 
 
+def _check_size(n: int, m: int) -> None:
+    """Reject a vertex or edge count above ``MAX_N``: ``GraphSpec`` does so
+    at construction, and the generators before they generate anything."""
+    if n > MAX_N:
+        raise ValueError(f"vertex count must be at most {MAX_N}, got {n}")
+    if m > MAX_N:
+        raise ValueError(f"edge count must be at most {MAX_N}, got {m}")
+
+
 class _Frozen:
     """Base of the package's immutable ``__slots__`` classes. Their
     constructors set each field with ``object.__setattr__``; assigning or
@@ -94,8 +103,12 @@ class EdgeView(Sequence[EdgeRecord]):
         return len(self._w)
 
     def __getitem__(self, i: int) -> EdgeRecord:
-        i = range(len(self._w))[i]  # normalises negative ids, raises IndexError
-        return EdgeRecord(self._u[i], self._v[i], self._w[i], i)
+        # MstResult.edges calls this per accepted edge, so no range() here.
+        i = operator.index(i)
+        u = self._u[i]  # raises IndexError
+        if i < 0:
+            i += len(self._w)
+        return EdgeRecord(u, self._v[i], self._w[i], i)
 
     def __iter__(self) -> Iterator[EdgeRecord]:
         return map(EdgeRecord, self._u, self._v, self._w, count())
@@ -178,11 +191,8 @@ class GraphSpec(_Frozen):
             raise ValueError(f"vertex count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        if n > MAX_N:
-            raise ValueError(f"vertex count must be at most {MAX_N}, got {n}")
         m = len(w)
-        if m > MAX_N:
-            raise ValueError(f"edge count must be at most {MAX_N}, got {m}")
+        _check_size(n, m)
         if len(u) != m or len(v) != m:
             raise ValueError(f"column lengths differ: {len(u)}, {len(v)}, {m}")
         # One bulk pass decides; only a bad graph pays for the per-edge scan

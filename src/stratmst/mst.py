@@ -79,11 +79,11 @@ class MstResult(_Frozen):
     summed in that order from ``0.0``, so it is a float even when nothing is
     accepted. All minimum spanning forests of a graph share one multiset of
     weights, so every solver and oracle gives the same float total.
-    ``accepted_count`` is ``len(edge_ids)``. ``edges`` builds the accepted
-    ``EdgeRecord``s from ``graph`` on first access.
+    ``accepted_count`` is ``len(edge_ids)``. ``edges`` reads the accepted
+    ``EdgeRecord``s through ``graph.edges`` each time it is read.
     """
 
-    __slots__ = ("graph", "edge_ids", "metrics", "total_weight", "_edges")
+    __slots__ = ("graph", "edge_ids", "metrics", "total_weight")
     _fields = ("edge_ids", "metrics", "total_weight")
     graph: GraphSpec
     edge_ids: array[int]
@@ -97,7 +97,6 @@ class MstResult(_Frozen):
         object.__setattr__(self, "edge_ids", edge_ids)
         object.__setattr__(self, "metrics", metrics)
         object.__setattr__(self, "total_weight", sum(map(graph.w.__getitem__, edge_ids), 0.0))
-        object.__setattr__(self, "_edges", None)
 
     def __hash__(self) -> int:
         return hash((self.metrics, self.total_weight))
@@ -108,18 +107,7 @@ class MstResult(_Frozen):
 
     @property
     def edges(self) -> tuple[EdgeRecord, ...]:
-        if self._edges is None:
-            g = self.graph
-            ids = self.edge_ids
-            records = map(
-                EdgeRecord,
-                map(g.u.__getitem__, ids),
-                map(g.v.__getitem__, ids),
-                map(g.w.__getitem__, ids),
-                ids,
-            )
-            object.__setattr__(self, "_edges", tuple(records))
-        return self._edges
+        return tuple(map(self.graph.edges.__getitem__, self.edge_ids))
 
 
 def kruskal_std(g: GraphSpec) -> MstResult:

@@ -77,6 +77,9 @@ def test_run_suite_rejects_bad_trials():
     infeasible = SuiteConfig("too-many", "sparse", 3, 9, WeightDist.uniform())
     with pytest.raises(ValueError, match="generation failed for 'too-many': m=9 infeasible"):
         run_suite(trials=1, configs=[infeasible])
+    misspelt = SuiteConfig("typo", "sprase", 30, 36, WeightDist.uniform())
+    with pytest.raises(ValueError, match="generation failed for 'typo': unknown graph family"):
+        run_suite(trials=1, configs=[misspelt])
 
 
 def test_summarize_ratios():

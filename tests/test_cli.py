@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from importlib.util import find_spec
 import pytest
 
 import stratmst
-from stratmst import graph_from_edges, write_edge_list
+from stratmst import WeightDist, graph_from_edges, write_edge_list
 from stratmst import bench
 from stratmst.cli import build_parser, main
+from stratmst.generators import FAMILY_WEIGHTS, gen_family
 from stratmst.mst import SOLVERS, Metrics
 from stratmst.validation import CLRS_EDGES, ValidationCase, run_validation
 
@@ -63,6 +65,51 @@ def test_gen_grid_needs_dims(capsys):
     for family in ("path", "sparse"):
         assert main(["gen", "--family", family]) == 2
         assert capsys.readouterr().err == f"error: {family} family needs --n\n"
+
+
+@pytest.mark.parametrize(
+    "family, flags, name",
+    [
+        ("path", ["--n", "5", "--m", "50"], "m"),
+        ("path", ["--n", "5", "--rows", "2"], "rows"),
+        ("sparse", ["--n", "20", "--cols", "3"], "cols"),
+        ("dense", ["--n", "20", "--rows", "2", "--cols", "3"], "rows"),
+        ("grid", ["--rows", "2", "--cols", "3", "--n", "6"], "n"),
+        ("grid", ["--rows", "2", "--cols", "3", "--m", "7"], "m"),
+    ],
+)
+def test_gen_rejects_an_option_its_family_does_not_read(tmp_path, capsys, family, flags, name):
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--family", family, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {family} family does not read --{name}\n")
+    assert not out.exists()
+
+
+def test_gen_rejects_a_size_beyond_max_n_before_generating(monkeypatch, capsys):
+    # The dense default m of n = 70,000 is 2,449,965,000 > 2**31: with a
+    # small limit the same check shows at a size that cannot hang.
+    monkeypatch.setattr("stratmst.graph.MAX_N", 100)
+
+    def no_weights(self, rng):
+        raise AssertionError("a weight was drawn before the size check")
+
+    monkeypatch.setattr(WeightDist, "sample", no_weights)
+    for flags, message in [
+        (["dense", "--n", "20"], "edge count must be at most 100, got 190"),
+        (["sparse", "--n", "101"], "vertex count must be at most 100, got 101"),
+        (["path", "--n", "102"], "vertex count must be at most 100, got 102"),
+        (["grid", "--rows", "10", "--cols", "11"], "vertex count must be at most 100, got 110"),
+        (["grid", "--rows", "10", "--cols", "10"], "edge count must be at most 100, got 180"),
+    ]:
+        assert main(["gen", "--family", *flags]) == 2, flags
+        assert capsys.readouterr() == ("", f"error: {message}\n"), flags
+
+
+def test_gen_family_choices_are_the_family_table():
+    gen_parser = build_parser()._subparsers._group_actions[0].choices["gen"]
+    family = next(a for a in gen_parser._actions if a.dest == "family")
+    assert tuple(family.choices) == tuple(FAMILY_WEIGHTS)
+    assert {cfg.family for cfg in bench.DEFAULT_SUITE} <= set(FAMILY_WEIGHTS)
 
 
 def test_mst_eds_on_clrs(clrs_file, capsys):
@@ -314,6 +361,7 @@ def test_gen_then_mst_round_trip_all_families(tmp_path, capsys):
         ("grid", ["--rows", "5", "--cols", "6"]),
         ("path", ["--n", "30"]),
     ]
+    assert [family for family, _ in specs] == list(FAMILY_WEIGHTS)
     out = tmp_path / "g.txt"
     for family, flags in specs:
         for seed in range(20):
@@ -325,6 +373,28 @@ def test_gen_then_mst_round_trip_all_families(tmp_path, capsys):
             main(["mst", "--algo", "eds", "--seed", str(seed), "--input", str(out)])
             eds_line = capsys.readouterr().out
             assert std_line == eds_line, (family, seed)
+
+
+@pytest.mark.parametrize(
+    "family, flags, sizes",
+    [
+        ("sparse", ["--n", "30"], {"n": 30}),
+        ("medium", ["--n", "30", "--m", "100"], {"n": 30, "m": 100}),
+        ("medium", ["--n", "30"], {"n": 30}),
+        ("dense", ["--n", "15"], {"n": 15}),
+        ("normal", ["--n", "30"], {"n": 30}),
+        ("power", ["--n", "30"], {"n": 30}),
+        ("clustered", ["--n", "30", "--m", "60"], {"n": 30, "m": 60}),
+        ("grid", ["--rows", "5", "--cols", "6"], {"rows": 5, "cols": 6}),
+        ("path", ["--n", "30"], {"n": 30}),
+    ],
+)
+def test_gen_writes_what_gen_family_builds(capsys, family, flags, sizes):
+    for seed in (1, 2):
+        assert main(["gen", "--family", family, *flags, "--seed", str(seed)]) == 0
+        buf = io.StringIO()
+        write_edge_list(gen_family(family, seed, **sizes), buf)
+        assert capsys.readouterr().out == buf.getvalue(), (family, seed)
 
 
 def test_bench_cli_writes_csv(tmp_path, capsys):

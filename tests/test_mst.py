@@ -270,6 +270,16 @@ def test_solvers_and_cli_build_no_edge_records(tmp_path, monkeypatch, capsys):
         assert res.edges == tuple(g.edges[i] for i in res.edge_ids)
 
 
+@pytest.mark.parametrize("name", [*SOLVERS, "prim_dense"])
+def test_results_keep_no_edge_records(name):
+    # A result holds its fields only; edges reads through graph.edges each time.
+    g = gen_random(60, 150, WeightDist.uniform(), seed=8)
+    res = prim_dense(g) if name == "prim_dense" else SOLVERS[name](g, StrataParams(seed=3))
+    assert set(res.__getstate__()) == {"graph", "edge_ids", "metrics", "total_weight"}
+    first = res.edges
+    assert first == res.edges and len(first) == g.n - 1
+
+
 @pytest.mark.parametrize("name", [*sorted(SOLVERS), "component_count"])
 def test_solver_memory_follows_the_edges(name):
     # One edge under a header of 10**6 vertices: the forest's 4-byte C-int
